@@ -164,6 +164,9 @@ def _cmd_d_map(args):
 
 def _cmd_table(args):
     group = args.group.upper().replace("GAMMA-", "")
+    if group not in exceptional.GROUPS:
+        raise ValueError("unknown table %r (groups: %s)"
+                         % (args.group, ", ".join(exceptional.GROUPS)))
     if args.group.lower().startswith("gamma-"):
         data = exceptional.load_gamma_table(group)
     else:

@@ -8,9 +8,14 @@ fundamental-weight coordinates; norms are computed exactly through embedded
 Gram matrices.  For the rank-2 and rank-4 groups an explicit root realization
 supports an independent classification of the integral and singular
 subsystems of each tabulated weight, plus a lattice-shell minimality check.
+That check enumerates the dominant chamber only, which suffices because the
+norm and both subsystem types are Weyl-invariant and the lattice is
+Weyl-stable, and prunes by exact integer partial norms.
 """
 
+import functools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -48,57 +53,68 @@ _F4_SIMPLE = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
 _F4_WEIGHTS = [(2, 2, 0, 0), (4, 2, 2, 0), (3, 1, 1, 1), (2, 0, 0, 0)]
 
 
+def _eliminate(rows):
+    """Exact Gauss-Jordan elimination over the rationals, the one row
+    reduction of this module.
+
+    Each step takes the first row at or below the current one with a nonzero
+    entry in the next column, swaps it up, scales it to a leading 1 and clears
+    that column in every other row.  Returns (reduced rows, pivots), one pivot
+    (row, column, entry) per step: the row it was found in before the swap and
+    its entry before scaling.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        entry = a[r][col]
+        pivots.append((piv, col, entry))
+        a[r] = [x / entry for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a, pivots
+
+
 def _invert(matrix):
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    reduced, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(matrix)])
+    return [row[n:] for row in reduced]
+
+
+def _matrix_rank(vectors):
+    return len(_eliminate(vectors)[1])
+
+
+def _is_positive_definite(g):
+    """A symmetric matrix is positive definite exactly when elimination finds
+    every pivot on the diagonal, without a swap, and positive: the pivots
+    are the ratios of consecutive leading principal minors."""
+    _, pivots = _eliminate(g)
+    return (len(pivots) == len(g)
+            and all(row == col and entry > 0 for row, col, entry in pivots))
 
 
 def gram_matrix(group):
     """Pairwise products of the fundamental weights: inverse Cartan times the
-    halved simple-root lengths."""
+    halved simple-root lengths, as a tuple of row tuples.  Computed once per
+    group; the cache sits behind this plain function so that profilers see
+    an ordinary function here."""
+    return _gram_matrix(group)
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_matrix(group):
     inv = _invert(_CARTAN[group])
     d = _HALF_LENGTHS[group]
-    return [[inv[i][j] * d[j] for j in range(len(d))] for i in range(len(d))]
-
-
-def _is_positive_definite(g):
-    n = len(g)
-    for k in range(1, n + 1):
-        minor = [[g[i][j] for j in range(k)] for i in range(k)]
-        det = _det(minor)
-        if det <= 0:
-            return False
-    return True
-
-
-def _det(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    return tuple(tuple(inv[i][j] * d[j] for j in range(len(d))) for i in range(len(d)))
 
 
 def parse_gamma(text):
@@ -113,10 +129,12 @@ def parse_gamma(text):
     return tuple(Fraction(int(x), den) for x in s[1:-1].split(","))
 
 
+def _form(g, c):
+    return sum(g[i][j] * c[i] * c[j] for i in range(len(c)) for j in range(len(c)))
+
+
 def gamma_norm_sq(group, coords):
-    g = gram_matrix(group)
-    return sum(coords[i] * g[i][j] * coords[j]
-               for i in range(len(coords)) for j in range(len(coords)))
+    return _form(gram_matrix(group), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +247,6 @@ def _component_label(group, roots):
     if (rank, count) == (4, 24):
         return "F4"
     raise ValueError("unrecognized subsystem shape (rank %d, %d roots)" % (rank, count))
-
-
-def _matrix_rank(vectors):
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 def _split_components(roots):
@@ -424,55 +422,42 @@ def verify_classification(group):
             "passed": not failures}
 
 
-def _lattice_points_within(group, k, bound):
-    """Integer vectors c with (c/k) . G . (c/k) <= bound.
-
-    Pruned by a floating-point Cholesky factorization of the (integerized)
-    Gram form with a safety margin, with an exact integer test at the leaves.
-    """
+def _integer_gram(group):
+    """The Gram matrix times the least common denominator of its entries."""
     g = gram_matrix(group)
-    n = len(g)
-    scale = 1
-    for row in g:
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-    h = [[int(x * scale) for x in row] for row in g]
-    budget_fr = Fraction(bound) * k * k * scale
-    assert budget_fr.denominator == 1
-    budget = int(budget_fr)
-    # float Cholesky h = L diag(d) L^t
-    df = [0.0] * n
-    lf = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = sum(lf[i][p] * lf[j][p] * df[p] for p in range(j))
-            if i == j:
-                df[i] = h[i][i] - s
-                lf[i][i] = 1.0
-            else:
-                lf[i][j] = (h[i][j] - s) / df[j]
+    scale = math.lcm(*(x.denominator for row in g for x in row))
+    return [[int(x * scale) for x in row] for row in g]
+
+
+def _dominant_points_within(h, budget):
+    """Integer vectors c >= 0 with c.h.c <= budget, each with its form value.
+
+    Every entry of h must be positive.  Then on c >= 0 the form restricted to
+    the coordinates chosen so far is an exact lower bound on the whole form,
+    so each coordinate is raised from 0 and stops at the first value that
+    takes that partial form over the budget.
+    """
+    if any(x <= 0 for row in h for x in row):
+        raise ValueError("dominant enumeration needs a form with positive entries")
+    n = len(h)
     out = []
+    c = [0] * n
 
-    def quad(c):
-        return sum(h[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
-
-    def rec(idx, partial, remaining):
-        if idx < 0:
-            c = partial[::-1]
-            q = quad(c)
-            if q <= budget:
-                out.append((tuple(c), q))
+    def rec(idx, partial):
+        if idx == n:
+            out.append((tuple(c), partial))
             return
-        shift = sum(lf[j][idx] * partial[n - 1 - j] for j in range(idx + 1, n))
-        radius = (max(remaining, 0.0) / df[idx]) ** 0.5 + 1.0
-        for cv in range(int(-shift - radius), int(-shift + radius) + 2):
-            val = df[idx] * (cv + shift) ** 2
-            partial.append(cv)
-            rec(idx - 1, partial, remaining - val + 1e-6)
-            partial.pop()
+        cross = sum((h[idx][j] + h[j][idx]) * c[j] for j in range(idx))
+        v, q = 0, partial
+        while q <= budget:
+            c[idx] = v
+            rec(idx + 1, q)
+            v += 1
+            q = partial + v * (cross + h[idx][idx] * v)
+        c[idx] = 0
 
-    rec(n - 1, [], budget * (1.0 + 1e-9) + 1e-6)
-    return out, budget
+    rec(0, 0)
+    return out
 
 
 def verify_shell_minimality(group):
@@ -481,6 +466,13 @@ def verify_shell_minimality(group):
     integral and singular types.  A weaker stand-in for comparing full
     pseudo-Levi data: type-equal points could in principle carry different
     data, so failures here would require inspection, not table corrections.
+
+    The norm and both subsystem types are Weyl-invariant, and the lattice
+    (1/k)P of a weight with denominator k is Weyl-stable, so a shorter
+    type-equal point exists exactly when one exists in the dominant chamber.
+    Only dominant points are enumerated, pruned by exact integer partial
+    norms, and a failure names the dominant representative of the offending
+    Weyl orbit.
     """
     roots = positive_roots(group)
     weights = fundamental_weights(group)
@@ -489,39 +481,32 @@ def verify_shell_minimality(group):
     pmat = [[sum(weights[i][t] * a[t] for t in range(len(a))) for i in range(n)]
             for a in roots]       # 4 (gamma, alpha) per unit coefficient
     norms2 = [_dot(a, a) for a in roots]   # 4 (alpha, alpha)
+    h = _integer_gram(group)
+
+    def pairing_counts(point, k):
+        """(integral, singular) root counts of point/k."""
+        n_int = n_sing = 0
+        for j in range(len(roots)):
+            num = 2 * sum(point[i] * pmat[j][i] for i in range(n))
+            if num % (k * norms2[j]) == 0:
+                n_int += 1
+                if num == 0:
+                    n_sing += 1
+        return n_int, n_sing
+
     failures = []
     checked = 0
     for row in load_table(group)["rows"]:
         for label, gamma_text in row["entries"]:
             coords = parse_gamma(gamma_text)
-            k = 1
-            for c in coords:
-                k = k * c.denominator // _gcd(k, c.denominator)
-            key = subsystem_classify(group, coords)
-            n_int = 0
-            n_sing = 0
+            k = math.lcm(*(c.denominator for c in coords))
             kcoords = [int(c * k) for c in coords]
-            for j in range(len(roots)):
-                num = 2 * sum(kcoords[i] * pmat[j][i] for i in range(n))
-                if num % (k * norms2[j]) == 0:
-                    n_int += 1
-                    if num == 0:
-                        n_sing += 1
-            bound = gamma_norm_sq(group, coords)
+            key = subsystem_classify(group, coords)
+            counts = pairing_counts(kcoords, k)
+            budget = _form(h, kcoords)
             checked += 1
-            points, budget = _lattice_points_within(group, k, bound)
-            dens = [k * norms2[j] for j in range(len(roots))]
-            for point, q in points:
-                if q >= budget:
-                    continue
-                ci = si = 0
-                for j in range(len(roots)):
-                    num = 2 * sum(point[i] * pmat[j][i] for i in range(n))
-                    if num % dens[j] == 0:
-                        ci += 1
-                        if num == 0:
-                            si += 1
-                if (ci, si) != (n_int, n_sing):
+            for point, q in _dominant_points_within(h, budget):
+                if q >= budget or pairing_counts(point, k) != counts:
                     continue
                 cand = tuple(Fraction(x, k) for x in point)
                 if subsystem_classify(group, cand) == key:
@@ -531,22 +516,15 @@ def verify_shell_minimality(group):
             "passed": not failures}
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def self_check():
-    """Load-time sanity: embedded realizations match the Cartan data."""
+    """Load-time sanity: embedded realizations match the Cartan data, and
+    every Gram matrix is positive definite.  Returns False on a mismatch."""
     for group in ("G2", "F4"):
-        roots = positive_roots(group)
-        assert len(roots) == {"G2": 6, "F4": 24}[group]
+        if len(positive_roots(group)) != {"G2": 6, "F4": 24}[group]:
+            return False
         g = gram_matrix(group)
         ws = fundamental_weights(group)
-        for i in range(len(ws)):
-            for j in range(len(ws)):
-                assert Fraction(_dot(ws[i], ws[j]), 4) == g[i][j], (group, i, j)
-    for group in GROUPS:
-        assert _is_positive_definite(gram_matrix(group)), group
-    return True
+        if any(Fraction(_dot(ws[i], ws[j]), 4) != g[i][j]
+               for i in range(len(ws)) for j in range(len(ws))):
+            return False
+    return all(_is_positive_definite(gram_matrix(group)) for group in GROUPS)

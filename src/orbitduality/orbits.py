@@ -242,11 +242,13 @@ def closure_leq(a, b):
 
 
 def parse_orbit(text):
-    """Parse "B:[5,3,1]" or "D:[2,2]I"."""
+    """Parse "B:[5,3,1]" or "D:[2,2]I"; the kind is B, C or D."""
     s = text.strip()
     if len(s) < 2 or s[1] != ":":
         raise ValueError("orbit text must look like B:[5,3,1]")
     kind = s[0]
+    if kind not in ("B", "C", "D"):
+        raise ValueError("orbit kind must be B, C or D, not %r" % kind)
     body = s[2:]
     dec = None
     for suffix in ("II", "I"):

@@ -81,3 +81,16 @@ def test_error_paths(capsys):
     with pytest.raises(SystemExit) as err:
         main(["collapse"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "x7"],
+    ["group", "A:[3]"],
+    ["markable", "A:[3]"],
+])
+def test_bad_input_exits_with_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -1,3 +1,7 @@
+import json
+import math
+from itertools import product
+
 import pytest
 
 from orbitduality import exceptional as ex
@@ -61,6 +65,71 @@ def test_shell_minimality_g2():
 def test_shell_minimality_f4():
     report = ex.verify_shell_minimality("F4")
     assert report["passed"], report["failures"]
+
+
+def _weyl_orbit(group, point):
+    """Orbit of an integer vector in fundamental coordinates under the simple
+    reflections s_i(c) = c - c_i * (row i of the Cartan matrix)."""
+    seen, todo = {point}, [point]
+    while todo:
+        c = todo.pop()
+        for i, row in enumerate(ex._CARTAN[group]):
+            image = tuple(x - c[i] * a for x, a in zip(c, row))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def _box_shell(h, budget):
+    """{c: c.h.c} over all integer c with c.h.c <= budget, from the box
+    |c_i| <= sqrt(budget * (h^-1)_ii) that holds the whole ellipsoid."""
+    inv = ex._invert(h)
+    n = len(h)
+    assert all(sum(h[i][t] * inv[t][j] for t in range(n)) == int(i == j)
+               for i in range(n) for j in range(n))
+    radii = [math.isqrt(math.floor(budget * inv[i][i])) for i in range(n)]
+    shell = {}
+    for c in product(*(range(-r, r + 1) for r in radii)):
+        q = ex._form(h, c)
+        if q <= budget:
+            shell[c] = q
+    return shell
+
+
+@pytest.mark.parametrize("group, text", [
+    ("G2", "(1,0)"), ("G2", "(1,1)/2"), ("G2", "(3,1)/3"), ("G2", "(1,1)"),
+    ("F4", "(0,0,1,0)"), ("F4", "(1,0,1,0)"),   # the k=1 weights of F4(a3), F4(a2)
+])
+def test_dominant_shell_matches_box_shell(group, text):
+    assert text in [e[1] for r in ex.load_table(group)["rows"] for e in r["entries"]]
+    coords = ex.parse_gamma(text)
+    k = math.lcm(*(c.denominator for c in coords))
+    h = ex._integer_gram(group)
+    budget = ex._form(h, [int(c * k) for c in coords])
+    union = {}
+    for point, q in ex._dominant_points_within(h, budget):
+        assert min(point) >= 0 and q == ex._form(h, point)
+        for image in _weyl_orbit(group, point):
+            assert ex._form(h, image) == q
+            union[image] = q
+    assert union == _box_shell(h, budget)
+
+
+def test_shell_minimality_rejects_a_longer_weight(tmp_path, monkeypatch):
+    """(2,2) has the subsystem types of (1,1) and a larger norm, so the check
+    must fail and name (1,1)."""
+    table = ex.load_table("G2")
+    row = [r for r in table["rows"] if r["dual"] == "G2"][0]
+    assert row["entries"] == [["G2", "(1,1)"]]
+    row["entries"] = [["G2", "(2,2)"]]
+    (tmp_path / "g2.json").write_text(json.dumps(table))
+    monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
+    assert ex.subsystem_classify("G2", ex.parse_gamma("(2,2)")) == \
+        ex.subsystem_classify("G2", ex.parse_gamma("(1,1)"))
+    report = ex.verify_shell_minimality("G2")
+    assert not report["passed"]
+    assert report["failures"] == [("G2", "G2", ["1", "1"])]
 
 
 def test_tables_dir_override(tmp_path, monkeypatch):
