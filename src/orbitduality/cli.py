@@ -26,7 +26,7 @@ from .compgroups import (
     markable_parts,
     parse_marked,
 )
-from .sommers import sommers_dual, sat_inverse
+from .sommers import block_decompose, sat_inverse, sommers_dual
 from .infchar import format_weight, gamma_la, gamma_rigid_cover
 from .covers import abar_r_rank, d_map, gamma_group_rank, ms_lift
 from . import exceptional, verify
@@ -98,7 +98,6 @@ def _cmd_bvls_dual(args):
 
 
 def _cmd_sommers_dual(args):
-    from .sommers import block_decompose
     m = parse_marked(args.marked)
     out = sommers_dual(m, route=args.route)
     gl, core = sat_inverse(m)
@@ -179,19 +178,8 @@ def _cmd_table(args):
 
 
 def _cmd_verify(args):
-    suites = dict(verify.ALL_SUITES)
-    if args.suite == "all":
-        reports = verify.verify_all(max_rank=args.max_rank, jobs=args.jobs)
-    elif args.suite in suites:
-        fn = suites[args.suite]
-        if args.suite == "minimality":
-            reports = [fn(max_rank=args.max_rank, jobs=args.jobs)]
-        elif args.suite in ("duality", "kernel", "tables"):
-            reports = [fn()]
-        else:
-            reports = [fn(max_rank=args.max_rank)]
-    else:
-        raise ValueError("unknown suite %r" % args.suite)
+    suites = verify.SUITES if args.suite == "all" else [args.suite]
+    reports = verify.verify_all(max_rank=args.max_rank, jobs=args.jobs, suites=suites)
     ok = all(r["passed"] for r in reports)
     if args.json:
         print(json.dumps(reports, indent=2, sort_keys=True, default=str))
@@ -272,8 +260,10 @@ def build_parser():
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=[name for name, _ in verify.ALL_SUITES] + ["all"])
-    p.add_argument("--max-rank", type=int, default=5)
+    p.add_argument("suite", choices=list(verify.SUITES) + ["all"])
+    p.add_argument("--max-rank", type=int, default=5,
+                   help="sets every suite's range: rank N (duality N+1; "
+                        "kernel size 2N+4, rank N+1; tables fixed)")
     p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.set_defaults(fn=_cmd_verify)
 

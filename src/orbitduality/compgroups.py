@@ -19,11 +19,9 @@ from .partitions import (
     height,
     is_very_even,
     parse_partition,
-    size,
     union,
     uparrow,
 )
-from .orbits import Orbit
 
 IDENTITY = frozenset()
 
@@ -36,10 +34,6 @@ def eps_parts(lam, kind):
 
 def distinct_eps_values(lam, kind):
     return tuple(sorted(set(eps_parts(lam, kind)), reverse=True))
-
-
-def mul(a, b):
-    return a ^ b
 
 
 def span(generators):
@@ -343,7 +337,7 @@ def canonical_split(m):
 def parse_marked(text):
     """Parse "B:<[5,1]>[5,3,1]" (decoration suffix I/II allowed in type D)."""
     s = text.strip()
-    if len(s) < 4 or s[1] != ":" or s[2] != "<":
+    if len(s) < 4 or s[1] != ":" or s[2] != "<" or ">" not in s:
         raise ValueError("marked partition text must look like B:<[5,1]>[5,3,1]")
     kind = s[0]
     close = s.index(">")
@@ -361,7 +355,3 @@ def parse_marked(text):
 def format_marked(m):
     return "%s:<%s>%s%s" % (m.kind, format_partition(m.nu),
                             format_partition(m.lam), m.decoration or "")
-
-
-def orbit_of(m):
-    return Orbit(m.kind, size(m.lam), m.lam, m.decoration)

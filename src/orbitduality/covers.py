@@ -7,8 +7,9 @@ the Galois group of the maximal equivalent cover.
 from dataclasses import dataclass
 
 from .partitions import EPSILON, is_very_even, size
-from .orbits import LeviShape, Orbit, induce
+from .orbits import InducedOrbit, LeviShape, Orbit, induce
 from .compgroups import (
+    MarkedPartition,
     a_group_elements,
     abar_rank,
     distinct_eps_values,
@@ -141,6 +142,37 @@ def _apply_map(mapping, element):
 # the duality map on marked data
 
 
+@dataclass(frozen=True)
+class ChainStep:
+    """Saturation of `datum` by one principal gl(a); `induced` is the
+    induction of D(datum) from gl(a), which equals D of the saturated datum."""
+    a: int
+    datum: MarkedPartition
+    induced: InducedOrbit
+
+
+def saturation_chain(m):
+    """The duality map along the saturation chain of a reduced marked datum.
+
+    Strip the gl factors down to the distinguished core, dualize it, then
+    saturate back one gl(a) at a time, largest first, inducing the dual
+    alongside and checking it against the dual of each saturated datum.
+    Returns (D(core), steps).
+    """
+    gl, cur = sat_inverse(m)
+    core_dual = dual = sommers_dual(cur, route="general")
+    steps = []
+    for a in sorted(gl, reverse=True):
+        nxt = sat_la(LeviShape((a,), size(cur.lam)), [(a,)], cur, kind=m.kind)
+        induced = induce(LeviShape((a,), dual.ambient), [(1,) * a], dual, kind=dual.kind)
+        dual = sommers_dual(nxt, route="general")
+        if induced.orbit.parts != dual.parts:
+            raise AssertionError("induction/duality mismatch at gl(%d)" % a)
+        steps.append(ChainStep(a, cur, induced))
+        cur = nxt
+    return core_dual, steps
+
+
 def d_map(m):
     """Dual cover of a reduced marked datum: the Lusztig cover of the core's
     dual, birationally induced up the stripped gl factors.
@@ -149,34 +181,25 @@ def d_map(m):
     quotient order doubled once per non-birational induction step.  The
     subgroup itself is reported only when every step is birational.
     """
-    gl, core = sat_inverse(m)
-    core_dual = sommers_dual(core, route="general")
-    degree = 2 ** abar_rank(core_dual.parts, core_dual.kind)
-    subgroup = kernel_subgroup(core_dual.parts, core_dual.kind)
-    cur = core
-    cur_dual = core_dual
+    base, steps = saturation_chain(m)
+    degree = 2 ** abar_rank(base.parts, base.kind)
+    subgroup = kernel_subgroup(base.parts, base.kind)
     exact = True
-    for a in sorted(gl, reverse=True):
-        nxt = sat_la(LeviShape((a,), size(cur.lam)), [(a,)], cur, kind=m.kind)
-        step = induce(LeviShape((a,), cur_dual.ambient), [(1,) * a], cur_dual,
-                      kind=cur_dual.kind)
-        nxt_dual = sommers_dual(nxt, route="general")
-        if step.orbit.parts != nxt_dual.parts:
-            raise AssertionError("induction/duality mismatch at gl(%d)" % a)
-        if not step.birational:
+    for step in steps:
+        base = step.induced.orbit
+        if not step.induced.birational:
             degree *= 2
             exact = False
-        elif step.collapsed:
+        elif step.induced.collapsed:
             exact = False  # birational type-D collapse: degree 1, map not tracked
         elif exact:
-            subgroup = _transport_subgroup(cur_dual, nxt_dual, a, subgroup)
-        cur, cur_dual = nxt, nxt_dual
-    return CoverSpec(cur_dual, degree, subgroup if exact else None)
+            subgroup = _transport_subgroup(base, step.a, subgroup)
+    return CoverSpec(base, degree, subgroup if exact else None)
 
 
-def _transport_subgroup(small, big, a, subgroup):
-    """Pull a subgroup of A(small) back along the birational addition of two
-    columns of length a (so big = small + two columns, no collapse)."""
+def _transport_subgroup(big, a, subgroup):
+    """Pull a subgroup of A(small) back to A(big), where big is small plus
+    two columns of length a, added birationally and with no collapse."""
     kernel, mapping = phi_data(big.parts, big.kind, a)
     return frozenset(g for g in a_group_elements(big)
                      if _apply_map(mapping, g) in subgroup)
@@ -194,17 +217,17 @@ class MSLift:
     factor2: Orbit
 
 
-def _factor_kinds(kind):
-    if kind == "C":
-        return "C", "C"
-    return "D", "B" if kind == "B" else "D"
+# Per type: the parity of the doubled weight coordinates on the marked side
+# (1 = strict half-integers, 0 = integers) and the kinds of the two factors of
+# the pseudo-Levi pair.
+PSEUDO_LEVI = {"B": (1, ("D", "B")), "C": (0, ("C", "C")), "D": (1, ("D", "D"))}
 
 
 def ms_lift(m):
     """Sat-route of the pseudo-Levi pair: the minimal split of the core with
     one row pair per stripped gl factor, routed by parity."""
     nu0, eta0 = nu0_eta0(m)
-    k1, k2 = _factor_kinds(m.kind)
+    k1, k2 = PSEUDO_LEVI[m.kind][1]
     return MSLift(Orbit(k1, size(nu0), nu0), Orbit(k2, size(eta0), eta0))
 
 
@@ -212,19 +235,8 @@ def gamma_group_rank(m):
     """log2 of the Galois group of the maximal equivalent cover over the dual
     orbit: the adjoint component-group rank of the core's dual plus one per
     non-birational induction step."""
-    gl, core = sat_inverse(m)
-    cur = core
-    cur_dual = sommers_dual(core, route="general")
-    total = group_data(cur_dual).a_ad_rank
-    for a in sorted(gl, reverse=True):
-        nxt = sat_la(LeviShape((a,), size(cur.lam)), [(a,)], cur, kind=m.kind)
-        step = induce(LeviShape((a,), cur_dual.ambient), [(1,) * a], cur_dual,
-                      kind=cur_dual.kind)
-        if not step.birational:
-            total += 1
-        cur = nxt
-        cur_dual = sommers_dual(nxt, route="general")
-    return total
+    core_dual, steps = saturation_chain(m)
+    return group_data(core_dual).a_ad_rank + sum(not s.induced.birational for s in steps)
 
 
 def abar_r_rank(m):

@@ -288,22 +288,6 @@ def _label_set(group, roots):
     return "+".join(labels)
 
 
-def _type_multiset(label):
-    """Tilde-insensitive multiset of component types from a printed label,
-    stripping orbit decorations like (a1) and multiplier prefixes like 2A2."""
-    out = []
-    for piece in label.split("+"):
-        piece = piece.strip().strip("'")
-        if "(" in piece:
-            piece = piece[: piece.index("(")]
-        piece = piece.replace("~", "")
-        mult = 1
-        if piece and piece[0].isdigit() and len(piece) > 1 and piece[1].isalpha():
-            mult, piece = int(piece[0]), piece[1:]
-        out.extend([piece] * mult)
-    return tuple(sorted(out))
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -312,12 +296,14 @@ _GROUP_ORDER = {"1": 1, "Z2": 2, "S2": 2, "S3": 6, "S4": 24, "Z2xZ2": 4}
 
 
 def _factor_types(label):
-    """Component types of a classical product label like "C3+A1" or "2A3"."""
+    """Component types of a printed label like "C3+A1", "2A3" or "C3(a1)+~A1",
+    tilde-insensitive, with orbit decorations like (a1) stripped and
+    multiplier prefixes like 2A2 expanded."""
     out = []
     for piece in label.split("+"):
-        piece = piece.strip().strip("'").replace("~", "")
+        piece = piece.strip().strip("'").split("(")[0].replace("~", "")
         mult = 1
-        if piece[0].isdigit() and len(piece) > 1:
+        if piece[:1].isdigit() and piece[1:2].isalpha():
             mult, piece = int(piece[0]), piece[1:]
         out.extend([piece] * mult)
     return out
@@ -416,7 +402,7 @@ def verify_classification(group):
         for label, gamma_text in row["entries"]:
             integral, _ = subsystem_classify(group, parse_gamma(gamma_text))
             checked += 1
-            if _type_multiset(integral) != _type_multiset(label):
+            if sorted(_factor_types(integral)) != sorted(_factor_types(label)):
                 failures.append((row["dual"], label, integral))
     return {"group": group, "checked": checked, "failures": failures,
             "passed": not failures}

@@ -10,9 +10,9 @@ the coordinate product.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import EPSILON, as_partition, size, union, uparrow
+from .partitions import EPSILON, as_partition, size, transpose, union, uparrow
 from .compgroups import canonical_split
-from .sommers import sat_inverse
+from .sommers import DUAL_KIND, sat_inverse
 
 
 def rank(kind, ambient):
@@ -57,12 +57,6 @@ def canonical(w):
 
 def dominant(w):
     return canonical(w)[0]
-
-
-def w_equivalent(u, v):
-    if u.kind != v.kind or len(u) != len(v):
-        raise ValueError("weights live in different spaces")
-    return canonical(u) == canonical(v)
 
 
 def rho_plus(q, length=None):
@@ -130,7 +124,6 @@ def gamma_rigid_cover(orbit):
     orbit, from the columns of its partition."""
     if orbit.kind not in ("B", "C", "D"):
         raise ValueError("classical types B, C, D only")
-    from .partitions import transpose
     cols = transpose(orbit.parts)
     x, y = split_by_multiplicity(cols)
     parts = union(spread_pairs(y), f_transform(x, EPSILON[orbit.kind]))
@@ -160,8 +153,7 @@ def gamma_la(m):
     parts = union(uparrow(nu0) if nu0 else (), eta0)
     for a in gl:
         parts = union(parts, (a, a))
-    dual_kind = {"B": "C", "C": "B", "D": "D"}[m.kind]
-    return Weight(dual_kind, rho_plus(parts, size(m.lam) // 2))
+    return Weight(DUAL_KIND[m.kind], rho_plus(parts, size(m.lam) // 2))
 
 
 def parse_weight(text, kind="B"):

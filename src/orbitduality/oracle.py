@@ -7,6 +7,7 @@ dominant half-integer vector inside its norm shell and testing membership
 exactly.
 """
 
+import itertools
 from dataclasses import dataclass
 from math import isqrt
 
@@ -14,13 +15,12 @@ from .partitions import collapse, size, transpose
 from .orbits import Orbit
 from .compgroups import (
     MarkedPartition,
-    canonical_split,
     equivalent_markings,
     is_distinguished_marked,
     multiset_difference,
 )
-from .infchar import Weight, rho_plus, uparrow
-from .partitions import union
+from .infchar import Weight, gamma_la
+from .covers import PSEUDO_LEVI
 
 
 def richardson_zero(kind, ambient, halves):
@@ -50,14 +50,12 @@ def richardson_zero(kind, ambient, halves):
     return Orbit(kind, ambient, collapse(parts, kind))
 
 
-def _factor_layout(kind):
-    """(parity of the marked-side coordinates, factor kinds). Doubled-integer
-    parity: 1 = strict half-integers, 0 = integers."""
-    if kind == "B":
-        return 1, ("D", "B")
-    if kind == "C":
-        return 0, ("C", "C")
-    return 1, ("D", "D")
+def split_classes(kind, halves):
+    """The doubled coordinates of the marked side and of the unmarked side,
+    told apart by their congruence class."""
+    parity = PSEUDO_LEVI[kind][0]
+    return (tuple(h for h in halves if h % 2 == parity),
+            tuple(h for h in halves if h % 2 != parity))
 
 
 def membership_tester(m):
@@ -66,15 +64,14 @@ def membership_tester(m):
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
     lam, kind = m.lam, m.kind
-    nu_parity, (k1, k2) = _factor_layout(kind)
+    k1, k2 = PSEUDO_LEVI[kind][1]
     lifts = []
     for nu in equivalent_markings(m):
         eta = multiset_difference(lam, nu)
         lifts.append((tuple(sorted(nu, reverse=True)), eta))
 
     def test(halves):
-        side1 = tuple(h for h in halves if h % 2 == nu_parity)
-        side2 = tuple(h for h in halves if h % 2 != nu_parity)
+        side1, side2 = split_classes(kind, halves)
         for nu, eta in lifts:
             if 2 * len(side1) != size(nu):
                 continue
@@ -90,11 +87,6 @@ def membership_tester(m):
         return False
 
     return test
-
-
-def in_admissible_set(w, m):
-    """Membership of a weight in the admissible set of a distinguished datum."""
-    return membership_tester(m)(w.halves)
 
 
 def dominant_shell(n, bound4):
@@ -134,14 +126,13 @@ class Certificate:
 
 
 def verify_min(m):
-    """Certify that the staggered-split weight of a distinguished datum is the
-    unique minimal member of its admissible set, by exhaustive enumeration of
-    the dominant shell it cuts out."""
+    """Certify that the weight of a distinguished datum (its staggered
+    canonical split) is the unique minimal member of its admissible set, by
+    exhaustive enumeration of the dominant shell it cuts out."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
-    nu0, eta0 = canonical_split(m)
     n = size(m.lam) // 2
-    cand = Weight(m.kind, rho_plus(union(uparrow(nu0) if nu0 else (), eta0), n))
+    cand = gamma_la(m)
     bound4 = sum(h * h for h in cand.halves)
     test = membership_tester(m)
     member = test(cand.halves)
@@ -163,11 +154,8 @@ def richardson_pair(m):
     split the coordinates by congruence class and induce from zero in the
     Levi each class singles out.  For special data this reproduces the
     saturation route computed in the covers module."""
-    from .infchar import gamma_la
-    w = gamma_la(m)
-    nu_parity, (k1, k2) = _factor_layout(m.kind)
-    side1 = tuple(h for h in w.halves if h % 2 == nu_parity)
-    side2 = tuple(h for h in w.halves if h % 2 != nu_parity)
+    k1, k2 = PSEUDO_LEVI[m.kind][1]
+    side1, side2 = split_classes(m.kind, gamma_la(m).halves)
     n1 = 2 * len(side1)
     n2 = 2 * len(side2) + (1 if m.kind == "B" else 0)
     first = richardson_zero(k1, n1, side1) if n1 else Orbit(k1, 0, ())
@@ -177,7 +165,6 @@ def richardson_pair(m):
 
 def dominant_shell_naive(n, bound4):
     """Nested-loop reference enumerator for self-testing the recursion."""
-    import itertools
     top = 0
     while top * top <= bound4:
         top += 1

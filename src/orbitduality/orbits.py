@@ -14,7 +14,6 @@ from .partitions import (
     add_unit,
     as_partition,
     collapse,
-    dominates,
     drop_box,
     enumerate_type,
     format_partition,
@@ -93,10 +92,6 @@ def enumerate_orbits(kind, ambient):
         else:
             out.append(Orbit(kind, ambient, p))
     return out
-
-
-def zero_orbit(kind, ambient):
-    return Orbit(kind, ambient, (1,) * ambient)
 
 
 def _check_levi(levi, gl_orbits, core, kind):
@@ -224,21 +219,6 @@ def is_even(orbit):
 def is_special(orbit):
     """Fixed point of the square of the duality map."""
     return bvls_dual(bvls_dual(orbit)) == orbit
-
-
-def orbit_predicates(orbit):
-    return {
-        "distinguished": is_distinguished(orbit),
-        "even": is_even(orbit),
-        "special": is_special(orbit),
-    }
-
-
-def closure_leq(a, b):
-    """Closure order on orbits of one group, taken to be dominance order."""
-    if (a.kind, a.ambient) != (b.kind, b.ambient):
-        raise ValueError("closure order compares orbits of one group")
-    return dominates(b.parts, a.parts)
 
 
 def parse_orbit(text):

@@ -8,8 +8,6 @@ C, D) when its size is odd (resp. even, even) and every even (resp. odd,
 even) part occurs with even multiplicity.
 """
 
-KINDS = ("A", "B", "C", "D")
-
 # parity marker: parts congruent to EPSILON[kind] mod 2 are the constrained ones
 EPSILON = {"B": 0, "C": 1, "D": 0}
 
@@ -141,21 +139,6 @@ def bump_first(p):
 def drop_column_box(p):
     """Remove one box from the shortest column (transpose of drop_box)."""
     return transpose(drop_box(transpose(p)))
-
-
-def decrement_all(p):
-    """Subtract 1 from every part, dropping resulting zeros."""
-    return tuple(v - 1 for v in p if v > 1)
-
-
-def head(p, k):
-    """The first k rows."""
-    return p[:k]
-
-
-def tail(p, k):
-    """The rows after the first k."""
-    return p[k:]
 
 
 def uparrow(p):

@@ -8,14 +8,14 @@ general closed formula, a shortcut through the minimal-weight marking of a
 distinguished datum, and a join over a block decomposition.
 """
 
-from dataclasses import dataclass
-
 from .partitions import (
+    EPSILON,
     as_partition,
     bump_first,
     collapse,
     drop_box,
     drop_column_box,
+    is_type,
     is_very_even,
     join,
     size,
@@ -23,7 +23,7 @@ from .partitions import (
     union,
     uparrow,
 )
-from .orbits import LeviShape, Orbit
+from .orbits import Orbit
 from .compgroups import (
     MarkedPartition,
     canonical_split,
@@ -110,7 +110,6 @@ def _is_basic_or_unmarked(kind, block_kind, lam, nu, last):
 
 
 def _valid_block(kind, index, lam, nu, last):
-    from .partitions import is_type
     block_kind = _block_type(kind, index)
     if not is_type(lam, block_kind):
         return False
@@ -206,7 +205,6 @@ def sat_inverse(m):
     Returns (gl sizes, distinguished core); saturating the core by principal
     gl orbits of the returned sizes restores the input.
     """
-    from .partitions import EPSILON
     eps = EPSILON[m.kind]
     gl = []
     core_rows = []
@@ -223,7 +221,3 @@ def sat_inverse(m):
         core_rows.extend([v] * keep)
     core = MarkedPartition(m.kind, tuple(sorted(core_rows, reverse=True)), m.nu)
     return tuple(sorted(gl, reverse=True)), core
-
-
-def levi_of_sizes(gl_sizes, residual):
-    return LeviShape(tuple(gl_sizes), residual)

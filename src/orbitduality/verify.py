@@ -15,10 +15,9 @@ from .partitions import (
     dominates,
     enumerate_partitions,
     enumerate_type,
-    size,
     uparrow2,
 )
-from .orbits import LeviShape, Orbit, bvls_dual, enumerate_orbits
+from .orbits import Orbit, bvls_dual, enumerate_orbits
 from .compgroups import (
     MarkedPartition,
     abar_rank,
@@ -28,7 +27,7 @@ from .compgroups import (
     kernel_subgroup,
     markable_parts,
 )
-from .sommers import sat_inverse, sat_la, sommers_dual
+from .sommers import sommers_dual
 from .infchar import canonical, gamma_la, gamma_rigid_cover, rho_plus
 from .covers import (
     abar_r_rank,
@@ -37,22 +36,19 @@ from .covers import (
     lusztig_cover,
     ms_lift,
     rigidity,
+    saturation_chain,
     saturation_step_analysis,
 )
 from .oracle import richardson_pair, verify_min
 from . import exceptional
 
 
-def weight_sizes(max_rank=5):
-    return [("B", [2 * r + 1 for r in range(1, max_rank + 1)]),
-            ("C", [2 * r for r in range(1, max_rank + 1)]),
-            ("D", [2 * r for r in range(2, max_rank + 1)])]
-
-
-def duality_sizes(max_rank=6):
-    return [("B", [2 * r + 1 for r in range(1, max_rank + 1)]),
-            ("C", [2 * r for r in range(1, max_rank + 1)]),
-            ("D", [2 * r for r in range(2, max_rank + 1)])]
+def type_sizes(max_rank):
+    """{kind: ambient sizes} of so(2r+1), sp(2r) (r >= 1) and so(2r) (r >= 2)
+    up to rank max_rank."""
+    return {"B": [2 * r + 1 for r in range(1, max_rank + 1)],
+            "C": [2 * r for r in range(1, max_rank + 1)],
+            "D": [2 * r for r in range(2, max_rank + 1)]}
 
 
 def iter_reduced_marked(kind, n):
@@ -80,7 +76,7 @@ def iter_special_distinguished(kind, n):
 
 def _report(name, checked, failures):
     return {"name": name, "checked": checked,
-            "failures": failures, "passed": not failures}
+            "failures": failures, "passed": checked > 0 and not failures}
 
 
 def _certify(m):
@@ -91,7 +87,7 @@ def _certify(m):
 def verify_minimality(max_rank=5, jobs=None):
     """The candidate weight of every special distinguished marked datum is
     the unique minimal member of its admissible set (exhaustive shell)."""
-    data = [m for kind, sizes in weight_sizes(max_rank)
+    data = [m for kind, sizes in type_sizes(max_rank).items()
             for n in sizes for m in iter_special_distinguished(kind, n)]
     failures = []
     if jobs and jobs > 1:
@@ -110,7 +106,7 @@ def verify_gamma(max_rank=5):
     special distinguished datum."""
     failures = []
     checked = 0
-    for kind, sizes in weight_sizes(max_rank):
+    for kind, sizes in type_sizes(max_rank).items():
         for n in sizes:
             for m in iter_special_distinguished(kind, n):
                 checked += 1
@@ -128,7 +124,7 @@ def verify_duality(max_rank=6):
     distinguished data."""
     failures = []
     checked = 0
-    for kind, sizes in duality_sizes(max_rank):
+    for kind, sizes in type_sizes(max_rank).items():
         for n in sizes:
             orbs = enumerate_orbits(kind, n)
             for o in orbs:
@@ -174,7 +170,7 @@ def verify_rigidity(max_rank=5):
     birationally rigid."""
     failures = []
     checked = 0
-    for kind, sizes in weight_sizes(max_rank):
+    for kind, sizes in type_sizes(max_rank).items():
         for n in sizes:
             for m in iter_special_distinguished(kind, n):
                 checked += 1
@@ -191,20 +187,17 @@ def verify_gamma_group(max_rank=5, kinds=("B", "C", "D")):
     cover degree is the canonical-quotient order."""
     failures = []
     checked = 0
-    sizes_by_kind = dict(weight_sizes(max_rank))
     for kind in kinds:
-        for n in sizes_by_kind[kind]:
+        for n in type_sizes(max_rank)[kind]:
             for m in iter_special(kind, n):
                 checked += 1
                 r1, r2 = gamma_group_rank(m), abar_r_rank(m)
                 if r1 != r2:
                     failures.append(("ranks", str(m), r1, r2))
-                gl, cur = sat_inverse(m)
-                for a in sorted(gl, reverse=True):
-                    flags = saturation_step_analysis(a, cur)
+                for step in saturation_chain(m)[1]:
+                    flags = saturation_step_analysis(step.a, step.datum)
                     if flags.abar_changes == flags.bind_birational:
-                        failures.append(("step", str(m), a, str(cur)))
-                    cur = sat_la(LeviShape((a,), size(cur.lam)), [(a,)], cur, kind=kind)
+                        failures.append(("step", str(m), step.a, str(step.datum)))
                 if not m.nu:
                     degree = d_map(m).degree
                     if degree != 2 ** abar_rank(m.lam, kind):
@@ -218,7 +211,7 @@ def verify_richardson(max_rank=5):
     documented direction."""
     failures = []
     checked = 0
-    for kind, sizes in weight_sizes(max_rank):
+    for kind, sizes in type_sizes(max_rank).items():
         for n in sizes:
             for m in iter_special(kind, n):
                 checked += 1
@@ -280,7 +273,7 @@ def verify_kernel(max_size=14, max_rank=6, norm_top=12):
                 best = [q for q in dominated if all(dominates(q, r) for r in dominated)]
                 if len(best) != 1 or collapse(p, kind) != best[0]:
                     failures.append(("collapse", kind, p))
-    for kind, sizes in duality_sizes(max_rank):
+    for kind, sizes in type_sizes(max_rank).items():
         for n in sizes:
             for lam in enumerate_type(kind, n):
                 checked += 1
@@ -298,25 +291,24 @@ def verify_kernel(max_size=14, max_rank=6, norm_top=12):
     return _report("combinatorial kernel", checked, failures)
 
 
-ALL_SUITES = [
-    ("minimality", verify_minimality),
-    ("gamma", verify_gamma),
-    ("duality", verify_duality),
-    ("rigidity", verify_rigidity),
-    ("gamma-group", verify_gamma_group),
-    ("richardson", verify_richardson),
-    ("tables", verify_point_values),
-    ("kernel", verify_kernel),
-]
+# Every suite, with the keyword arguments that `--max-rank n --jobs j` gives
+# it; at n = 5 these are the ranges of the acceptance tests.
+SUITES = {
+    "minimality": (verify_minimality, lambda n, jobs: {"max_rank": n, "jobs": jobs}),
+    "gamma": (verify_gamma, lambda n, jobs: {"max_rank": n}),
+    "duality": (verify_duality, lambda n, jobs: {"max_rank": n + 1}),
+    "rigidity": (verify_rigidity, lambda n, jobs: {"max_rank": n}),
+    "gamma-group": (verify_gamma_group, lambda n, jobs: {"max_rank": n}),
+    "richardson": (verify_richardson, lambda n, jobs: {"max_rank": n}),
+    "tables": (verify_point_values, lambda n, jobs: {}),
+    "kernel": (verify_kernel, lambda n, jobs: {"max_size": 2 * n + 4, "max_rank": n + 1}),
+}
 
 
-def verify_all(max_rank=5, jobs=None):
+def verify_all(max_rank=5, jobs=None, suites=tuple(SUITES)):
+    """Run the named suites (all by default) at the ranges `max_rank` sets."""
     reports = []
-    for name, fn in ALL_SUITES:
-        if name == "minimality":
-            reports.append(fn(max_rank=max_rank, jobs=jobs))
-        elif name in ("duality", "kernel", "tables"):
-            reports.append(fn())
-        else:
-            reports.append(fn(max_rank=max_rank))
+    for name in suites:
+        fn, params = SUITES[name]
+        reports.append(fn(**params(max_rank, jobs)))
     return reports

@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from orbitduality.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -75,6 +79,11 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+def test_verify_with_no_checks_fails(capsys):
+    code, out = run(capsys, "verify", "minimality", "--max-rank", "0")
+    assert code == 1 and out == "FAIL minimality: 0 checks"
+
+
 def test_error_paths(capsys):
     code = main(["collapse", "--kind", "B", "[6,4]"])
     assert code == 1
@@ -83,10 +92,20 @@ def test_error_paths(capsys):
     assert err.value.code == 2
 
 
+# the text each verb's error line must carry
+ERROR_TEXT = {
+    "table": "unknown table 'x7'",
+    "group": "orbit kind must be B, C or D",
+    "markable": "orbit kind must be B, C or D",
+    "sommers-dual": "must look like B:<[5,1]>[5,3,1]",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "x7"],
     ["group", "A:[3]"],
     ["markable", "A:[3]"],
+    ["sommers-dual", "B:<[5,1"],
 ])
 def test_bad_input_exits_with_one_error_line(capsys, argv):
     code = main(argv)
@@ -94,3 +113,27 @@ def test_bad_input_exits_with_one_error_line(capsys, argv):
     assert code == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert ERROR_TEXT[argv[0]] in lines[0]
+
+
+def readme_examples():
+    """(argv, expected first output line) of every README command-line
+    example that states its output in a trailing comment."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if comment.strip() and argv and argv[0] != "verify":
+            out.append((argv, comment.strip()))
+    return out
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) == 7
+    for argv, expected in examples:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        assert out.splitlines()[0].split() == expected.split(), argv

@@ -3,8 +3,8 @@ from orbitduality.orbits import LeviShape, parse_orbit
 from orbitduality.compgroups import MarkedPartition, parse_marked, span
 from orbitduality.sommers import sat_inverse, sat_la, sommers_dual
 from orbitduality.covers import (
-    abar_r_rank, d_map, gamma_group_rank, lusztig_cover, ms_lift,
-    phi_data, rigidity, saturation_step_analysis, singular_rows,
+    abar_r_rank, d_map, gamma_group_rank, lusztig_cover, ms_lift, phi_data,
+    rigidity, saturation_chain, saturation_step_analysis, singular_rows,
 )
 from orbitduality.verify import iter_special
 
@@ -53,6 +53,17 @@ def test_d_map_witness():
     assert cover.degree == 2 and not cover.exact_subgroup()
 
 
+def test_saturation_chain_witness():
+    m = parse_marked("B:<[5,1]>[5,4,4,3,1]")
+    core_dual, steps = saturation_chain(m)
+    assert core_dual == parse_orbit("C:[2,2,2,1,1]")
+    [step] = steps
+    assert step.a == 4 and str(step.datum) == "B:<[5,1]>[5,3,1]"
+    assert step.induced.orbit == d_map(m).base and not step.induced.birational
+    # a distinguished datum is its own core: no steps
+    assert saturation_chain(step.datum) == (core_dual, [])
+
+
 def test_d_map_distinguished_identity():
     cover = d_map(parse_marked("B:<[5,1]>[5,3,1]"))
     assert cover.base.parts == (2, 2, 2, 1, 1)
@@ -89,11 +100,9 @@ def test_step_analysis():
 def test_step_equivalence_on_special_data():
     for kind, n in (("B", 9), ("C", 8), ("D", 8)):
         for m in iter_special(kind, n):
-            gl, cur = sat_inverse(m)
-            for a in sorted(gl, reverse=True):
-                flags = saturation_step_analysis(a, cur)
-                assert flags.abar_changes != flags.bind_birational, (str(m), a)
-                cur = sat_la(LeviShape((a,), size(cur.lam)), [(a,)], cur, kind=kind)
+            for step in saturation_chain(m)[1]:
+                flags = saturation_step_analysis(step.a, step.datum)
+                assert flags.abar_changes != flags.bind_birational, (str(m), step.a)
 
 
 def test_d_map_subgroup_index_matches_degree():

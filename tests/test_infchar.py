@@ -7,7 +7,7 @@ from orbitduality.compgroups import parse_marked
 from orbitduality.infchar import (
     Weight, canonical, dominant, f_transform, format_weight, gamma_la,
     gamma_rigid_cover, norm_sq, parse_weight, rho_plus, split_by_multiplicity,
-    spread_pairs, w_equivalent,
+    spread_pairs,
 )
 from orbitduality.partitions import enumerate_partitions, union
 
@@ -74,11 +74,10 @@ def test_gamma_la_kind_is_dual_side():
 
 def test_canonical_and_equivalence():
     assert dominant(Weight("B", (-1, 3))).halves == (3, 1)
-    u, v = Weight("D", (2, -2)), Weight("D", (2, 2))
-    assert not w_equivalent(u, v)
-    assert w_equivalent(Weight("D", (2, 0, -2)), Weight("D", (2, 2, 0)))
-    with pytest.raises(ValueError):
-        w_equivalent(Weight("B", (1,)), Weight("C", (1,)))
+    # type D keeps the sign of the coordinate product until a zero appears
+    assert canonical(Weight("D", (2, -2))) != canonical(Weight("D", (2, 2)))
+    assert canonical(Weight("D", (2, 0, -2))) == canonical(Weight("D", (2, 2, 0)))
+    assert canonical(Weight("B", (1,))) != canonical(Weight("C", (1,)))
 
 
 def test_norms_exact():

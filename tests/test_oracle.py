@@ -1,10 +1,9 @@
 import pytest
 
 from orbitduality.compgroups import MarkedPartition, parse_marked
-from orbitduality.infchar import Weight
 from orbitduality.oracle import (
-    dominant_shell, dominant_shell_naive, in_admissible_set,
-    membership_tester, richardson_pair, richardson_zero, verify_min,
+    dominant_shell, dominant_shell_naive, membership_tester, richardson_pair,
+    richardson_zero, verify_min,
 )
 
 
@@ -19,10 +18,10 @@ def test_richardson_zero_examples():
 
 
 def test_membership_examples():
-    m = parse_marked("C:<[2]>[2,2]")
-    assert in_admissible_set(Weight("B", (2, 1)), m)
-    assert not in_admissible_set(Weight("B", (1, 1)), m)
-    assert not in_admissible_set(Weight("B", (2, 2)), m)
+    test = membership_tester(parse_marked("C:<[2]>[2,2]"))
+    assert test((2, 1))
+    assert not test((1, 1))
+    assert not test((2, 2))
 
 
 def test_membership_canonical_invariance():
@@ -34,6 +33,7 @@ def test_membership_canonical_invariance():
 def test_verify_min_examples():
     cert = verify_min(parse_marked("C:<[2]>[2,2]"))
     assert cert.passed and cert.candidate.halves == (2, 1)
+    assert cert.candidate.kind == "B"     # the weight lives on the dual side
     cert = verify_min(parse_marked("B:<[5,1]>[5,3,1]"))
     assert cert.passed and cert.candidate.halves == (5, 3, 1, 1)
     cert = verify_min(MarkedPartition("B", (5, 3, 1), ()))

@@ -4,10 +4,9 @@ import pytest
 
 from orbitduality.partitions import (
     as_partition, collapse, dominates, drop_box, add_unit, bump_first,
-    drop_column_box, decrement_all, enumerate_partitions, enumerate_type,
-    format_partition, head, height, is_type, is_very_even, join,
-    multiplicity, parse_partition, size, tail, transpose, union, uparrow,
-    uparrow2,
+    drop_column_box, enumerate_partitions, enumerate_type, format_partition,
+    height, is_type, is_very_even, join, multiplicity, parse_partition, size,
+    transpose, union, uparrow, uparrow2,
 )
 
 
@@ -60,8 +59,6 @@ def test_unit_transforms():
     assert bump_first((2, 2)) == (3, 2)
     assert bump_first(()) == (1,)
     assert drop_column_box((2, 2)) == (2, 1)
-    assert decrement_all((3, 2, 1)) == (2, 1)
-    assert head((5, 3, 1), 2) == (5, 3) and tail((5, 3, 1), 2) == (1,)
     assert uparrow((5, 3)) == (6, 2)
     assert uparrow((2,)) == (3,)
     assert uparrow2((2, 0)) == (3,)
