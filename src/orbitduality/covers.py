@@ -173,28 +173,32 @@ def saturation_chain(m):
     return core_dual, steps
 
 
+def chain_degree(core_dual, steps):
+    """The dual cover degree along a walked chain: the core's quotient order,
+    doubled once per non-birational induction step."""
+    return 2 ** (abar_rank(core_dual.parts, core_dual.kind)
+                 + sum(not s.induced.birational for s in steps))
+
+
 def d_map(m):
     """Dual cover of a reduced marked datum: the Lusztig cover of the core's
     dual, birationally induced up the stripped gl factors.
 
-    The base and the degree are always computed: the degree is the core
-    quotient order doubled once per non-birational induction step.  The
+    The base and the degree (`chain_degree`) are always computed.  The
     subgroup itself is reported only when every step is birational.
     """
-    base, steps = saturation_chain(m)
-    degree = 2 ** abar_rank(base.parts, base.kind)
-    subgroup = kernel_subgroup(base.parts, base.kind)
+    core_dual, steps = saturation_chain(m)
+    base, subgroup = core_dual, kernel_subgroup(core_dual.parts, core_dual.kind)
     exact = True
     for step in steps:
         base = step.induced.orbit
         if not step.induced.birational:
-            degree *= 2
             exact = False
         elif step.induced.collapsed:
             exact = False  # birational type-D collapse: degree 1, map not tracked
         elif exact:
             subgroup = _transport_subgroup(base, step.a, subgroup)
-    return CoverSpec(base, degree, subgroup if exact else None)
+    return CoverSpec(base, chain_degree(core_dual, steps), subgroup if exact else None)
 
 
 def _transport_subgroup(big, a, subgroup):
@@ -231,12 +235,16 @@ def ms_lift(m):
     return MSLift(Orbit(k1, size(nu0), nu0), Orbit(k2, size(eta0), eta0))
 
 
+def chain_rank(core_dual, steps):
+    """The Galois rank along a walked chain: the adjoint component-group rank
+    of the core's dual plus one per non-birational induction step."""
+    return group_data(core_dual).a_ad_rank + sum(not s.induced.birational for s in steps)
+
+
 def gamma_group_rank(m):
     """log2 of the Galois group of the maximal equivalent cover over the dual
-    orbit: the adjoint component-group rank of the core's dual plus one per
-    non-birational induction step."""
-    core_dual, steps = saturation_chain(m)
-    return group_data(core_dual).a_ad_rank + sum(not s.induced.birational for s in steps)
+    orbit (`chain_rank` of its saturation chain)."""
+    return chain_rank(*saturation_chain(m))
 
 
 def abar_r_rank(m):

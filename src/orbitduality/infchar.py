@@ -130,12 +130,18 @@ def gamma_rigid_cover(orbit):
     return Weight(orbit.kind, rho_plus(parts, rank(orbit.kind, orbit.ambient)))
 
 
+def _core_split(m):
+    """(stripped gl sizes, nu0, eta0): the canonical split of the
+    distinguished core of a marked datum."""
+    gl, core = sat_inverse(m)
+    return (gl,) + canonical_split(core)
+
+
 def nu0_eta0(m):
     """Minimal-weight split of a marked partition: the split of its
     distinguished core extended by one pair per stripped gl factor, routed to
     the unmarked side when the size has the marking parity."""
-    gl, core = sat_inverse(m)
-    nu0, eta0 = canonical_split(core)
+    gl, nu0, eta0 = _core_split(m)
     eta_parity = 1 if m.kind in ("B", "D") else 0
     for a in gl:
         if a % 2 == eta_parity:
@@ -148,8 +154,7 @@ def nu0_eta0(m):
 def gamma_la(m):
     """Infinitesimal character of a marked datum: positive string entries of
     the staggered core split plus one full string per stripped gl factor."""
-    gl, core = sat_inverse(m)
-    nu0, eta0 = canonical_split(core)
+    gl, nu0, eta0 = _core_split(m)
     parts = union(uparrow(nu0) if nu0 else (), eta0)
     for a in gl:
         parts = union(parts, (a, a))

@@ -1,17 +1,20 @@
-"""Brute-force certification of the minimal-weight theorem.
+"""Certification of the minimal-weight theorem, by two routes.
 
 For a distinguished marked datum the admissible weights form a union, over
 the markings in its class, of sets cut out by congruence and Richardson
-conditions.  The candidate weight is certified minimal by enumerating every
-dominant half-integer vector inside its norm shell and testing membership
-exactly.
+conditions.  The exhaustive route enumerates every dominant half-integer
+vector inside the candidate's norm shell and tests membership exactly.  The
+signature route computes the least norm and every minimiser without a shell:
+membership reads each congruence class only through its multiplicity
+signature, and each signature has one dominant vector of least norm.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
-from .partitions import collapse, size, transpose
+from .partitions import collapse, enumerate_partitions, size, transpose
 from .orbits import Orbit
 from .compgroups import (
     MarkedPartition,
@@ -124,6 +127,19 @@ class Certificate:
     def passed(self):
         return self.member and not self.smaller_members and self.unique_min_orbit
 
+    @property
+    def shell_minimum(self):
+        """(least norm times 4, dominant minimisers) of the admissible points
+        in the shell; (None, ()) when the shell holds none."""
+        members = self.smaller_members + self.equal_members
+        if self.member:
+            members += (self.candidate.halves,)
+        if not members:
+            return None, ()
+        norms = {pt: sum(h * h for h in pt) for pt in members}
+        best = min(norms.values())
+        return best, tuple(sorted((pt for pt, n in norms.items() if n == best), reverse=True))
+
 
 def verify_min(m):
     """Certify that the weight of a distinguished datum (its staggered
@@ -147,6 +163,68 @@ def verify_min(m):
         elif norm4 == bound4 and pt != cand.halves:
             equal.append(pt)
     return Certificate(m, cand, len(shell), member, tuple(smaller), tuple(equal))
+
+
+def signatures(n, parity):
+    """Every multiplicity signature of n doubled coordinates of one congruence
+    class: (the multiplicities of the distinct nonzero absolute values,
+    largest first; the number of zeros).  Only the even class holds zeros."""
+    for zeros in range(n + 1 if parity == 0 else 1):
+        for mults in enumerate_partitions(n - zeros):
+            yield mults, zeros
+
+
+def signature_minimiser(mults, zeros, parity):
+    """The one dominant vector of least norm with this signature: the values
+    must be distinct positive members of the class (1, 3, 5, ... or 2, 4,
+    ...), so the least norm takes the smallest ones, and the largest
+    multiplicity takes the smallest value."""
+    out = []
+    for i, q in enumerate(mults):
+        out.extend([2 * i + 2 - parity] * q)
+    return tuple(reversed(out)) + (0,) * zeros
+
+
+@lru_cache(maxsize=None)
+def _side_table(kind, ambient, parity):
+    """{Richardson orbit: (least norm times 4, dominant minimisers)} over the
+    coordinates of one congruence class, for the factor of this kind and
+    ambient size.  The orbit depends on the signature alone, so one vector
+    per signature decides.  Shared by every caller: read it, never write."""
+    table = {}
+    for mults, zeros in signatures(ambient // 2, parity):
+        halves = signature_minimiser(mults, zeros, parity)
+        orbit = richardson_zero(kind, ambient, halves).parts
+        norm4 = sum(h * h for h in halves)
+        best = table.get(orbit)
+        if best is None or norm4 < best[0]:
+            table[orbit] = (norm4, (halves,))
+        elif norm4 == best[0]:
+            table[orbit] = (norm4, best[1] + (halves,))
+    return table
+
+
+def signature_minimum(m):
+    """(least norm times 4, dominant minimisers) of the admissible set of a
+    distinguished datum, with no shell: the minimum over the lift markings
+    of the two sides' minima, since a weight is a member for a lift exactly
+    when each congruence class has a signature that side accepts."""
+    if not is_distinguished_marked(m):
+        raise ValueError("certification applies to distinguished data")
+    parity = PSEUDO_LEVI[m.kind][0]
+    k1, k2 = PSEUDO_LEVI[m.kind][1]
+    best, found = None, set()
+    for nu in equivalent_markings(m):
+        eta = multiset_difference(m.lam, nu)
+        norm1, side1 = _side_table(k1, size(nu), parity).get(nu, (None, ()))
+        norm2, side2 = _side_table(k2, size(eta), 1 - parity).get(eta, (None, ()))
+        if norm1 is None or norm2 is None:
+            continue
+        if best is None or norm1 + norm2 < best:
+            best, found = norm1 + norm2, set()
+        if norm1 + norm2 == best:
+            found.update(tuple(sorted(a + b, reverse=True)) for a in side1 for b in side2)
+    return best, tuple(sorted(found, reverse=True))
 
 
 def richardson_pair(m):

@@ -20,7 +20,8 @@ def report(criterion, rep):
 def test_criterion_1_minimality():
     # every special distinguished marked datum of so(m) m <= 11, sp(2n) n <= 5,
     # so(2n) n <= 5 has its candidate weight certified as the unique minimal
-    # member of its admissible set by exhaustive shell enumeration
+    # member of its admissible set by the signature route, and the exhaustive
+    # shell gives the same least norm and minimisers
     report("1", verify.verify_minimality(max_rank=5))
 
 

@@ -1,10 +1,16 @@
 import pytest
 
-from orbitduality.compgroups import MarkedPartition, parse_marked
+from orbitduality import oracle, verify
+from orbitduality.cli import main
+from orbitduality.compgroups import (
+    MarkedPartition, canonical_split, equivalent_markings, multiset_difference, parse_marked,
+)
+from orbitduality.infchar import Weight, rho_plus
 from orbitduality.oracle import (
     dominant_shell, dominant_shell_naive, membership_tester, richardson_pair,
-    richardson_zero, verify_min,
+    richardson_zero, signature_minimum, verify_min,
 )
+from orbitduality.partitions import enumerate_partitions, size, union, uparrow
 
 
 def test_richardson_zero_examples():
@@ -38,6 +44,7 @@ def test_verify_min_examples():
     assert cert.passed and cert.candidate.halves == (5, 3, 1, 1)
     cert = verify_min(MarkedPartition("B", (5, 3, 1), ()))
     assert cert.passed and cert.candidate.halves == (4, 2, 2, 0)
+    assert cert.shell_minimum == signature_minimum(cert.datum) == (24, ((4, 2, 2, 0),))
 
 
 def test_verify_min_requires_distinguished():
@@ -55,3 +62,77 @@ def test_richardson_pair_witness():
     first, second = richardson_pair(parse_marked("B:<[5,1]>[5,4,4,3,1]"))
     assert first.parts == (5, 5, 3, 3)
     assert second.parts == (1,)
+
+
+def test_signature_minimum_requires_distinguished():
+    with pytest.raises(ValueError):
+        signature_minimum(parse_marked("B:<[5,1]>[5,4,4,3,1]"))
+
+
+def test_non_canonical_splits_are_admissible_but_not_minimal():
+    # the weight of every other split in a datum's class is a member, and
+    # both routes place it strictly above the least norm
+    count = 0
+    for kind, sizes in verify.type_sizes(4).items():
+        for n in sizes:
+            for m in verify.iter_special_distinguished(kind, n):
+                canonical_nu = canonical_split(m)[0]
+                routes = (signature_minimum(m), verify_min(m).shell_minimum)
+                for nu in equivalent_markings(m):
+                    if nu == canonical_nu:
+                        continue
+                    count += 1
+                    eta = multiset_difference(m.lam, nu)
+                    w = rho_plus(union(uparrow(nu), eta), size(m.lam) // 2)
+                    assert membership_tester(m)(w), (str(m), nu)
+                    for norm4, minimisers in routes:
+                        assert w not in minimisers and sum(h * h for h in w) > norm4
+    assert count == 14
+
+
+def _without_zeros(n, parity):
+    for mults in enumerate_partitions(n):
+        yield mults, 0
+
+
+def _largest_multiplicity_largest_value(mults, zeros, parity):
+    out = []
+    for i, q in enumerate(reversed(mults)):
+        out.extend([2 * i + 2 - parity] * q)
+    return tuple(reversed(out)) + (0,) * zeros
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("signatures", _without_zeros),
+    ("signature_minimiser", _largest_multiplicity_largest_value),
+])
+def test_cross_check_catches_a_broken_signature_route(monkeypatch, name, broken):
+    monkeypatch.setattr(oracle, name, broken)
+    oracle._side_table.cache_clear()
+    try:
+        rep = verify.verify_minimality(max_rank=3, jobs=1)
+    finally:
+        oracle._side_table.cache_clear()
+    assert not rep["passed"]
+    disagree = [f for f in rep["failures"] if f["check"] == "routes disagree"]
+    assert disagree
+    for f in disagree:
+        assert f["detail"]["signature_norm"] != f["detail"]["shell_norm"]
+        assert main(["gamma", f["datum"]]) == 0     # the datum replays as CLI text
+
+
+def test_a_wrong_candidate_fails_both_routes(monkeypatch):
+    # B:<[]>[5,3,1] given the weight of its other split, (2,3/2,1,1/2)
+    real = verify.gamma_la
+    wrong = MarkedPartition("B", (5, 3, 1), ())
+
+    def patched(m):
+        return Weight("C", (4, 3, 2, 1)) if m == wrong else real(m)
+
+    monkeypatch.setattr(verify, "gamma_la", patched)
+    monkeypatch.setattr(oracle, "gamma_la", patched)
+    rep = verify.verify_minimality(max_rank=4, jobs=1)
+    assert [(f["check"], f["datum"]) for f in rep["failures"]] == [
+        ("signature", "B:<[]>[5,3,1]"), ("shell", "B:<[]>[5,3,1]")]
+    assert rep["failures"][0]["detail"] == {
+        "candidate": "(2,3/2,1,1/2)", "signature_norm": "6", "shell_norm": "6"}
