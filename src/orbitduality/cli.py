@@ -188,7 +188,8 @@ def _cmd_verify(args):
             print("%s %s: %s checks" % ("PASS" if r["passed"] else "FAIL",
                                         r["name"], r["checked"]))
             for f in r["failures"][:10]:
-                print("  failure:", f)
+                detail = json.dumps(f["detail"], sort_keys=True, default=str)
+                print("  %s %s %s" % (f["check"], f["datum"], detail))
     return 0 if ok else 1
 
 

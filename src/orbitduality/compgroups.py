@@ -17,23 +17,26 @@ from .partitions import (
     as_partition,
     format_partition,
     height,
+    is_type,
     is_very_even,
     parse_partition,
+    size,
     union,
     uparrow,
 )
+from .orbits import Orbit
 
 IDENTITY = frozenset()
 
-
-def eps_parts(lam, kind):
-    """The rows of lam whose parity differs from eps (with multiplicity)."""
-    eps = EPSILON[kind]
-    return tuple(v for v in lam if v % 2 != eps)
+# The parity of the marks, which is also the parity of the doubled weight
+# coordinates on the marked side: odd in types B and D, even in type C.
+MARK_PARITY = {kind: 1 - eps for kind, eps in EPSILON.items()}
 
 
 def distinct_eps_values(lam, kind):
-    return tuple(sorted(set(eps_parts(lam, kind)), reverse=True))
+    """The distinct parts of lam of the mark parity (which differs from eps),
+    largest first."""
+    return tuple(sorted({v for v in lam if v % 2 == MARK_PARITY[kind]}, reverse=True))
 
 
 def span(generators):
@@ -51,16 +54,16 @@ def span(generators):
     return frozenset(group)
 
 
+def marking_subsets(values, kind):
+    """The subsets of a decreasing tuple of values, as decreasing tuples, of
+    even size in types B and D and of any size in type C."""
+    for r in range(0, len(values) + 1, 1 if kind == "C" else 2):
+        yield from combinations(values, r)
+
+
 def a_group_elements(orbit):
-    """All elements of A(O): even-size supports for B/D, all supports for C."""
-    vals = distinct_eps_values(orbit.parts, orbit.kind)
-    even_only = EPSILON[orbit.kind] == 0
-    out = []
-    for r in range(len(vals) + 1):
-        if even_only and r % 2 == 1:
-            continue
-        out.extend(frozenset(c) for c in combinations(vals, r))
-    return out
+    """All elements of A(O): the supports of the markings of its partition."""
+    return [frozenset(nu) for nu in all_markings(orbit.parts, orbit.kind)]
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,8 @@ def theta_tilde_basis(lam, kind):
 
 @dataclass(frozen=True)
 class MarkedPartition:
-    """A partition with a multiplicity-free set of parts marked.
+    """A type-`kind` partition with a multiplicity-free set of parts marked.
+    `marking_problem` is the one definition of a valid marked datum.
 
     Marks are odd in types B/D and even in type C; types B and D require an
     even number of marks (type C pads with a formal zero when needed).
@@ -197,6 +201,11 @@ class MarkedPartition:
     def eta(self):
         return multiset_difference(self.lam, self.nu)
 
+    @property
+    def orbit(self):
+        """The orbit of the rows, marks forgotten."""
+        return Orbit(self.kind, size(self.lam), self.lam, self.decoration)
+
     def __str__(self):
         return format_marked(self)
 
@@ -212,10 +221,11 @@ def marking_problem(kind, lam, nu, decoration=None):
     """Explain why (kind, lam, nu) is not a valid marked partition, or None."""
     if kind not in ("B", "C", "D"):
         return "marked partitions exist in types B, C, D"
-    eps = EPSILON[kind]
+    if not is_type(lam, kind):
+        return "%s is not a type-%s partition" % (format_partition(lam), kind)
     if any(nu.count(v) > 1 for v in set(nu)):
         return "marks must be multiplicity-free"
-    if any(v % 2 == eps for v in nu):
+    if any(v % 2 != MARK_PARITY[kind] for v in nu):
         return "marks must be odd (B/D) or even (C)"
     for v in set(nu):
         if lam.count(v) < 1:
@@ -225,23 +235,6 @@ def marking_problem(kind, lam, nu, decoration=None):
     if decoration is not None and not (kind == "D" and is_very_even(lam)):
         return "only very even type-D partitions carry decorations"
     return None
-
-
-@dataclass(frozen=True)
-class MarkedFlags:
-    valid: bool
-    reduced: bool = False
-    special: bool = False
-    distinguished: bool = False
-
-
-def classify_marked(kind, lam, nu, decoration=None):
-    """Validity, reducedness, specialness and distinguishedness of a marking."""
-    lam, nu = as_partition(lam), as_partition(nu)
-    if marking_problem(kind, lam, nu, decoration):
-        return MarkedFlags(False)
-    m = MarkedPartition(kind, lam, nu, decoration)
-    return MarkedFlags(True, is_reduced(m), is_special_marked(m), is_distinguished_marked(m))
 
 
 def is_reduced(m):
@@ -273,14 +266,7 @@ def marking_element(nu):
 def all_markings(lam, kind):
     """Every admissible marking: subsets of the distinct non-eps values, with
     an even count in types B and D."""
-    vals = distinct_eps_values(lam, kind)
-    out = []
-    for r in range(len(vals) + 1):
-        if kind in ("B", "D") and r % 2 == 1:
-            continue
-        for c in combinations(vals, r):
-            out.append(tuple(sorted(c, reverse=True)))
-    return out
+    return list(marking_subsets(distinct_eps_values(lam, kind), kind))
 
 
 def equivalent_markings(m):

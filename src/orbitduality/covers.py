@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .partitions import EPSILON, is_very_even, size
 from .orbits import InducedOrbit, LeviShape, Orbit, induce
 from .compgroups import (
+    MARK_PARITY,
     MarkedPartition,
     a_group_elements,
     abar_rank,
@@ -221,17 +222,16 @@ class MSLift:
     factor2: Orbit
 
 
-# Per type: the parity of the doubled weight coordinates on the marked side
-# (1 = strict half-integers, 0 = integers) and the kinds of the two factors of
-# the pseudo-Levi pair.
-PSEUDO_LEVI = {"B": (1, ("D", "B")), "C": (0, ("C", "C")), "D": (1, ("D", "D"))}
+# Per type: the kinds of the two factors of the pseudo-Levi pair, the marked
+# side first.
+PSEUDO_LEVI = {"B": ("D", "B"), "C": ("C", "C"), "D": ("D", "D")}
 
 
 def ms_lift(m):
     """Sat-route of the pseudo-Levi pair: the minimal split of the core with
     one row pair per stripped gl factor, routed by parity."""
     nu0, eta0 = nu0_eta0(m)
-    k1, k2 = PSEUDO_LEVI[m.kind][1]
+    k1, k2 = PSEUDO_LEVI[m.kind]
     return MSLift(Orbit(k1, size(nu0), nu0), Orbit(k2, size(eta0), eta0))
 
 
@@ -272,14 +272,13 @@ def saturation_step_analysis(a, cur):
     lam = cur.lam
     nu0, eta0 = nu0_eta0(cur)
     kind = cur.kind
-    mark_parity = 1 if kind in ("B", "D") else 0
     eta_ht = sum(1 for v in eta0 if v >= a)
     nu_ht = sum(1 for v in nu0 if v >= a)
     eta_cond = eta_ht % 2 == (1 if kind == "B" else 0)
     fresh = a not in lam
-    abar_changes = (fresh and a % 2 == mark_parity and eta_cond
+    abar_changes = (fresh and a % 2 == MARK_PARITY[kind] and eta_cond
                     and (kind != "D" or bool(eta0)))
-    if a % 2 == mark_parity:
+    if a % 2 == MARK_PARITY[kind]:
         blocked = kind == "D" and (not lam or is_very_even(lam))
         non_birational = fresh and eta_cond and not blocked
     else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import EPSILON, as_partition, size, transpose, union, uparrow
-from .compgroups import canonical_split
+from .compgroups import MARK_PARITY, canonical_split
 from .sommers import DUAL_KIND, sat_inverse
 
 
@@ -142,9 +142,8 @@ def nu0_eta0(m):
     distinguished core extended by one pair per stripped gl factor, routed to
     the unmarked side when the size has the marking parity."""
     gl, nu0, eta0 = _core_split(m)
-    eta_parity = 1 if m.kind in ("B", "D") else 0
     for a in gl:
-        if a % 2 == eta_parity:
+        if a % 2 == MARK_PARITY[m.kind]:
             eta0 = union(eta0, (a, a))
         else:
             nu0 = union(nu0, (a, a))

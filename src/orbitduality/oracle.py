@@ -17,6 +17,7 @@ from math import isqrt
 from .partitions import collapse, enumerate_partitions, size, transpose
 from .orbits import Orbit
 from .compgroups import (
+    MARK_PARITY,
     MarkedPartition,
     equivalent_markings,
     is_distinguished_marked,
@@ -56,7 +57,7 @@ def richardson_zero(kind, ambient, halves):
 def split_classes(kind, halves):
     """The doubled coordinates of the marked side and of the unmarked side,
     told apart by their congruence class."""
-    parity = PSEUDO_LEVI[kind][0]
+    parity = MARK_PARITY[kind]
     return (tuple(h for h in halves if h % 2 == parity),
             tuple(h for h in halves if h % 2 != parity))
 
@@ -67,11 +68,8 @@ def membership_tester(m):
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
     lam, kind = m.lam, m.kind
-    k1, k2 = PSEUDO_LEVI[kind][1]
-    lifts = []
-    for nu in equivalent_markings(m):
-        eta = multiset_difference(lam, nu)
-        lifts.append((tuple(sorted(nu, reverse=True)), eta))
+    k1, k2 = PSEUDO_LEVI[kind]
+    lifts = [(nu, multiset_difference(lam, nu)) for nu in equivalent_markings(m)]
 
     def test(halves):
         side1, side2 = split_classes(kind, halves)
@@ -211,8 +209,8 @@ def signature_minimum(m):
     when each congruence class has a signature that side accepts."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
-    parity = PSEUDO_LEVI[m.kind][0]
-    k1, k2 = PSEUDO_LEVI[m.kind][1]
+    parity = MARK_PARITY[m.kind]
+    k1, k2 = PSEUDO_LEVI[m.kind]
     best, found = None, set()
     for nu in equivalent_markings(m):
         eta = multiset_difference(m.lam, nu)
@@ -232,7 +230,7 @@ def richardson_pair(m):
     split the coordinates by congruence class and induce from zero in the
     Levi each class singles out.  For special data this reproduces the
     saturation route computed in the covers module."""
-    k1, k2 = PSEUDO_LEVI[m.kind][1]
+    k1, k2 = PSEUDO_LEVI[m.kind]
     side1, side2 = split_classes(m.kind, gamma_la(m).halves)
     n1 = 2 * len(side1)
     n2 = 2 * len(side2) + (1 if m.kind == "B" else 0)

@@ -16,14 +16,13 @@ from .partitions import (
     drop_box,
     drop_column_box,
     is_type,
-    is_very_even,
     join,
     size,
     transpose,
     union,
     uparrow,
 )
-from .orbits import Orbit
+from .orbits import Orbit, saturate
 from .compgroups import (
     MarkedPartition,
     canonical_split,
@@ -154,21 +153,18 @@ def block_decompose(m):
             last = stop == len(values)
             if not _valid_block(kind, index, block_lam, block_nu, last):
                 continue
-            if acc and not _superior_ok(kind, acc[-1], block_lam):
+            if acc and not _superior_ok(kind, acc[-1].lam, block_lam):
                 continue
-            found = search(stop, index + 1, acc + [block_lam])
+            block = MarkedPartition(_block_type(kind, index), block_lam, block_nu)
+            found = search(stop, index + 1, acc + [block])
             if found is not None:
                 return found
         return None
 
-    pieces = search(0, 0, [])
-    if pieces is None:
+    blocks = search(0, 0, [])
+    if blocks is None:
         raise ValueError("no block decomposition found for %s" % (m,))
-    out = []
-    for i, block_lam in enumerate(pieces):
-        block_nu = tuple(sorted(nu & set(block_lam), reverse=True))
-        out.append(MarkedPartition(_block_type(kind, i), block_lam, block_nu))
-    return out
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +172,10 @@ def block_decompose(m):
 
 
 def sat_la(levi, gl_orbits, core, kind=None):
-    """Saturate a marked partition: the rows gain a pair per gl-orbit row and
-    the marks are unchanged."""
-    kind = kind or core.kind
-    gl_orbits = [as_partition(x) for x in gl_orbits]
-    if len(gl_orbits) != len(levi.gl):
-        raise ValueError("expected %d gl orbits" % len(levi.gl))
-    for a, lam in zip(levi.gl, gl_orbits):
-        if size(lam) != a:
-            raise ValueError("gl(%d) orbit has size %d" % (a, size(lam)))
-    if size(core.lam) != levi.residual:
-        raise ValueError("core size %d does not match residual %d"
-                         % (size(core.lam), levi.residual))
-    lam = core.lam
-    for p in gl_orbits:
-        lam = union(lam, union(p, p))
-    dec = core.decoration if kind == "D" and is_very_even(lam) else None
-    return MarkedPartition(kind, lam, core.nu, dec)
+    """Saturate a marked partition: its orbit is saturated
+    (`orbits.saturate`) and the marks are unchanged."""
+    orbit = saturate(levi, gl_orbits, core.orbit, kind)
+    return MarkedPartition(orbit.kind, orbit.parts, core.nu, orbit.decoration)
 
 
 def sat_inverse(m):

@@ -16,6 +16,7 @@ from .partitions import (
     dominates,
     enumerate_partitions,
     enumerate_type,
+    format_partition,
     size,
     uparrow2,
 )
@@ -28,6 +29,7 @@ from .compgroups import (
     is_special_marked,
     kernel_subgroup,
     markable_parts,
+    marking_subsets,
 )
 from .sommers import sommers_dual
 from .infchar import canonical, gamma_la, gamma_rigid_cover, rho_plus
@@ -57,12 +59,8 @@ def type_sizes(max_rank):
 def iter_reduced_marked(kind, n):
     """All reduced marked partitions of one type and size (one per class)."""
     for lam in enumerate_type(kind, n):
-        marks = markable_parts(lam, kind)
-        for r in range(len(marks) + 1):
-            if kind in ("B", "D") and r % 2 == 1:
-                continue
-            for nu in itertools.combinations(marks, r):
-                yield MarkedPartition(kind, lam, tuple(sorted(nu, reverse=True)))
+        for nu in marking_subsets(markable_parts(lam, kind), kind):
+            yield MarkedPartition(kind, lam, nu)
 
 
 def iter_special(kind, n):
@@ -75,6 +73,25 @@ def iter_special_distinguished(kind, n):
     for m in iter_special(kind, n):
         if is_distinguished_marked(m):
             yield m
+
+
+def _data(iterate, max_rank, kinds=("B", "C", "D")):
+    """Every datum `iterate(kind, n)` yields, over the kinds and their sizes
+    of rank at most max_rank, as a list."""
+    sizes = type_sizes(max_rank)
+    return [m for kind in kinds for n in sizes[kind] for m in iterate(kind, n)]
+
+
+def _failure(check, datum, **detail):
+    """A failure record: the check that failed, the datum in CLI text and
+    what the check saw.  A marked partition replays with `orbitduality
+    gamma`, an orbit with `orbitduality bvls-dual`; an exceptional datum is
+    the `dual` label of a row of `orbitduality table <group>`."""
+    return {"check": check, "datum": str(datum), "detail": detail}
+
+
+# The non-special datum of the source's point values.
+WITNESS = MarkedPartition("B", (5, 4, 4, 3, 1), (5, 1))
 
 
 def _report(name, checked, failures):
@@ -111,9 +128,8 @@ def _certify(m):
             checks.append("shell")
         if shell != sig:
             checks.append("routes disagree")
-    detail = {"candidate": str(cand), "signature_norm": _norm_text(sig[0]),
-              "shell_norm": _norm_text(shell[0])}
-    return [{"check": c, "datum": str(m), "detail": detail} for c in checks]
+    return [_failure(c, m, candidate=str(cand), signature_norm=_norm_text(sig[0]),
+                     shell_norm=_norm_text(shell[0])) for c in checks]
 
 
 def verify_minimality(max_rank=5, jobs=None):
@@ -121,8 +137,7 @@ def verify_minimality(max_rank=5, jobs=None):
     the unique minimal member of its admissible set: certified by the
     signature route, and cross-checked by the exhaustive shell through
     SHELL_CROSS_CHECK_RANK."""
-    data = [m for kind, sizes in type_sizes(max_rank).items()
-            for n in sizes for m in iter_special_distinguished(kind, n)]
+    data = _data(iter_special_distinguished, max_rank)
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_certify, data, chunksize=4))
@@ -135,16 +150,13 @@ def verify_gamma(max_rank=5):
     """The datum weight equals the cover weight of its dual orbit, for every
     special distinguished datum."""
     failures = []
-    checked = 0
-    for kind, sizes in type_sizes(max_rank).items():
-        for n in sizes:
-            for m in iter_special_distinguished(kind, n):
-                checked += 1
-                lhs = canonical(gamma_la(m))
-                rhs = canonical(gamma_rigid_cover(sommers_dual(m)))
-                if lhs != rhs:
-                    failures.append((str(m), str(lhs[0]), str(rhs[0])))
-    return _report("gamma consistency", checked, failures)
+    data = _data(iter_special_distinguished, max_rank)
+    for m in data:
+        lhs = canonical(gamma_la(m))
+        rhs = canonical(gamma_rigid_cover(sommers_dual(m)))
+        if lhs != rhs:
+            failures.append(_failure("gamma", m, weight=str(lhs[0]), cover_weight=str(rhs[0])))
+    return _report("gamma consistency", len(data), failures)
 
 
 def verify_duality(max_rank=6):
@@ -156,41 +168,35 @@ def verify_duality(max_rank=6):
     checked = 0
     for kind, sizes in type_sizes(max_rank).items():
         for n in sizes:
-            orbs = enumerate_orbits(kind, n)
-            for o in orbs:
+            duals = {o: bvls_dual(o) for o in enumerate_orbits(kind, n)}
+            for o, d1 in duals.items():
                 checked += 1
-                d1 = bvls_dual(o)
                 if bvls_dual(bvls_dual(d1)) != d1:
-                    failures.append(("d^3", str(o)))
-            for a, b in itertools.combinations(orbs, 2):
+                    failures.append(_failure("d^3", o))
+            for a, b in itertools.combinations(duals, 2):
                 if a.parts == b.parts:
                     continue
-                try:
-                    forward = dominates(a.parts, b.parts)
-                except ValueError:
-                    continue
-                if forward:
-                    if not dominates(bvls_dual(b).parts, bvls_dual(a).parts):
-                        failures.append(("order", str(a), str(b)))
+                if dominates(a.parts, b.parts):
+                    if not dominates(duals[b].parts, duals[a].parts):
+                        failures.append(_failure("order", a, below=str(b)))
                 elif dominates(b.parts, a.parts):
-                    if not dominates(bvls_dual(a).parts, bvls_dual(b).parts):
-                        failures.append(("order", str(b), str(a)))
+                    if not dominates(duals[a].parts, duals[b].parts):
+                        failures.append(_failure("order", b, below=str(a)))
             seen = {}
             for m in iter_reduced_marked(kind, n):
                 checked += 1
                 general = sommers_dual(m, "general")
                 if sommers_dual(m, "blocks") != general:
-                    failures.append(("blocks route", str(m)))
-                if not m.nu:
-                    if bvls_dual(Orbit(kind, n, m.lam)).parts != general.parts:
-                        failures.append(("unmarked = orbit dual", str(m)))
+                    failures.append(_failure("blocks route", m))
+                if not m.nu and bvls_dual(m.orbit).parts != general.parts:
+                    failures.append(_failure("unmarked = orbit dual", m))
                 if is_distinguished_marked(m):
                     if sommers_dual(m, "distinguished") != general:
-                        failures.append(("distinguished route", str(m)))
+                        failures.append(_failure("distinguished route", m))
                     if is_special_marked(m):
                         key = general.parts
                         if key in seen:
-                            failures.append(("injectivity", str(m), seen[key]))
+                            failures.append(_failure("injectivity", m, same_dual_as=seen[key]))
                         seen[key] = str(m)
     return _report("duality identities", checked, failures)
 
@@ -199,16 +205,15 @@ def verify_rigidity(max_rank=5):
     """The quotient cover of the dual of every special distinguished datum is
     birationally rigid."""
     failures = []
-    checked = 0
-    for kind, sizes in type_sizes(max_rank).items():
-        for n in sizes:
-            for m in iter_special_distinguished(kind, n):
-                checked += 1
-                cov = lusztig_cover(sommers_dual(m))
-                flags = rigidity(cov.base, cov.subgroup)
-                if not flags.birationally_rigid:
-                    failures.append((str(m), str(cov.base), str(flags)))
-    return _report("rigidity", checked, failures)
+    data = _data(iter_special_distinguished, max_rank)
+    for m in data:
+        cov = lusztig_cover(sommers_dual(m))
+        flags = rigidity(cov.base, cov.subgroup)
+        if not flags.birationally_rigid:
+            failures.append(_failure("rigidity", m, base=str(cov.base),
+                                     no_codim2_leaves=flags.no_codim2_leaves,
+                                     h2_zero=flags.h2_zero))
+    return _report("rigidity", len(data), failures)
 
 
 def verify_gamma_group(max_rank=5, kinds=("B", "C", "D")):
@@ -216,24 +221,21 @@ def verify_gamma_group(max_rank=5, kinds=("B", "C", "D")):
     the per-step criteria are equivalent, and for unmarked data the dual
     cover degree is the canonical-quotient order."""
     failures = []
-    checked = 0
-    for kind in kinds:
-        for n in type_sizes(max_rank)[kind]:
-            for m in iter_special(kind, n):
-                checked += 1
-                core_dual, steps = saturation_chain(m)
-                r1, r2 = chain_rank(core_dual, steps), abar_r_rank(m)
-                if r1 != r2:
-                    failures.append(("ranks", str(m), r1, r2))
-                for step in steps:
-                    flags = saturation_step_analysis(step.a, step.datum)
-                    if flags.abar_changes == flags.bind_birational:
-                        failures.append(("step", str(m), step.a, str(step.datum)))
-                if not m.nu:
-                    degree = chain_degree(core_dual, steps)
-                    if degree != 2 ** abar_rank(m.lam, kind):
-                        failures.append(("galois degree", str(m), degree))
-    return _report("galois group ranks", checked, failures)
+    data = _data(iter_special, max_rank, kinds)
+    for m in data:
+        core_dual, steps = saturation_chain(m)
+        r1, r2 = chain_rank(core_dual, steps), abar_r_rank(m)
+        if r1 != r2:
+            failures.append(_failure("ranks", m, gamma_group_rank=r1, abar_r_rank=r2))
+        for step in steps:
+            flags = saturation_step_analysis(step.a, step.datum)
+            if flags.abar_changes == flags.bind_birational:
+                failures.append(_failure("step", m, a=step.a, step_datum=str(step.datum)))
+        if not m.nu:
+            degree = chain_degree(core_dual, steps)
+            if degree != 2 ** abar_rank(m.lam, m.kind):
+                failures.append(_failure("galois degree", m, degree=degree))
+    return _report("galois group ranks", len(data), failures)
 
 
 def verify_richardson(max_rank=5):
@@ -241,22 +243,19 @@ def verify_richardson(max_rank=5):
     pair for every special datum, and fails on the non-special witness in the
     documented direction."""
     failures = []
-    checked = 0
-    for kind, sizes in type_sizes(max_rank).items():
-        for n in sizes:
-            for m in iter_special(kind, n):
-                checked += 1
-                lift = ms_lift(m)
-                first, second = richardson_pair(m)
-                if (first.parts, second.parts) != (lift.factor1.parts, lift.factor2.parts):
-                    failures.append((str(m), str(first), str(lift.factor1)))
-    witness = MarkedPartition("B", (5, 4, 4, 3, 1), (5, 1))
-    first, _ = richardson_pair(witness)
-    lift = ms_lift(witness)
-    checked += 1
+    data = _data(iter_special, max_rank)
+    for m in data:
+        lift = ms_lift(m)
+        first, second = richardson_pair(m)
+        if (first.parts, second.parts) != (lift.factor1.parts, lift.factor2.parts):
+            failures.append(_failure("richardson", m, weight_pair=[str(first), str(second)],
+                                     saturation_pair=[str(lift.factor1), str(lift.factor2)]))
+    first, _ = richardson_pair(WITNESS)
+    lift = ms_lift(WITNESS)
     if first.parts != (5, 5, 3, 3) or lift.factor1.parts != (5, 4, 4, 3):
-        failures.append(("witness", str(first), str(lift.factor1)))
-    return _report("richardson vs saturation", checked, failures)
+        failures.append(_failure("witness", WITNESS, weight_factor=str(first),
+                                 saturation_factor=str(lift.factor1)))
+    return _report("richardson vs saturation", len(data) + 1, failures)
 
 
 def verify_point_values():
@@ -264,30 +263,34 @@ def verify_point_values():
     the exceptional tables, the rank-2/4 subsystem classifications, and the
     lattice-shell minimality of the rank-2/4 table weights."""
     failures = []
-    checked = 0
-    witness = MarkedPartition("B", (5, 4, 4, 3, 1), (5, 1))
-    checked += 1
-    if str(gamma_la(witness)) != "(5/2,3/2,3/2,3/2,1/2,1/2,1/2,1/2)":
-        failures.append(("witness weight", str(gamma_la(witness))))
-    cover = d_map(witness)
-    checked += 1
+    checked = 2  # the witness weight and cover
+    weight = str(gamma_la(WITNESS))
+    if weight != "(5/2,3/2,3/2,3/2,1/2,1/2,1/2,1/2)":
+        failures.append(_failure("witness weight", WITNESS, weight=weight))
+    cover = d_map(WITNESS)
     if cover.degree != 2 or cover.base.parts != (4, 4, 4, 2, 2):
-        failures.append(("witness cover", cover.degree, str(cover.base)))
+        failures.append(_failure("witness cover", WITNESS, degree=cover.degree,
+                                 base=str(cover.base)))
     for group in exceptional.GROUPS:
         rep = exceptional.verify_tables(group)
         checked += sum(rep["checked"].values())
-        failures.extend(("tables " + group,) + tuple(f) for f in rep["failures"])
+        failures.extend(_failure("tables %s %s" % (group, f[0]), f[1], values=list(f[2:]))
+                        for f in rep["failures"])
     for group in ("G2", "F4"):
-        rep = exceptional.verify_classification(group)
-        checked += rep["checked"]
-        failures.extend(("classification " + group,) + tuple(f) for f in rep["failures"])
-        rep = exceptional.verify_shell_minimality(group)
-        checked += rep["checked"]
-        failures.extend(("shell " + group,) + tuple(map(str, f)) for f in rep["failures"])
+        for check, run in (("classification", exceptional.verify_classification),
+                           ("shell", exceptional.verify_shell_minimality)):
+            rep = run(group)
+            checked += rep["checked"]
+            failures.extend(_failure("%s %s" % (check, group), f[0], entry=f[1], found=f[2])
+                            for f in rep["failures"])
     return _report("point values and tables", checked, failures)
 
 
-def verify_kernel(max_size=14, max_rank=6, norm_top=12):
+# The two-row norm inequality is checked for all rows q1 >= q2 up to this.
+TWO_ROW_NORM_TOP = 12
+
+
+def verify_kernel(max_size=14, max_rank=6):
     """Combinatorial kernel: the greedy collapse equals the brute-force
     dominance maximum; the component-group orders match the markable count;
     the two-row staggering strictly increases the weight norm."""
@@ -303,22 +306,21 @@ def verify_kernel(max_size=14, max_rank=6, norm_top=12):
                 dominated = [q for q in typed if dominates(p, q)]
                 best = [q for q in dominated if all(dominates(q, r) for r in dominated)]
                 if len(best) != 1 or collapse(p, kind) != best[0]:
-                    failures.append(("collapse", kind, p))
-    for kind, sizes in type_sizes(max_rank).items():
-        for n in sizes:
-            for lam in enumerate_type(kind, n):
-                checked += 1
-                o = Orbit(kind, n, lam)
-                quotient = 2 ** group_data(o).a_rank // len(kernel_subgroup(lam, kind))
-                if quotient != 2 ** abar_rank(lam, kind):
-                    failures.append(("quotient order", kind, lam))
-    for q1 in range(1, norm_top + 1):
+                    failures.append(_failure("collapse", format_partition(p), kind=kind))
+    orbits = _data(lambda kind, n: [Orbit(kind, n, lam) for lam in enumerate_type(kind, n)],
+                   max_rank)
+    checked += len(orbits)
+    for o in orbits:
+        quotient = 2 ** group_data(o).a_rank // len(kernel_subgroup(o.parts, o.kind))
+        if quotient != 2 ** abar_rank(o.parts, o.kind):
+            failures.append(_failure("quotient order", o, quotient=quotient))
+    for q1 in range(1, TWO_ROW_NORM_TOP + 1):
         for q2 in range(1, q1 + 1):
             checked += 1
             a = rho_plus((q1, q2), (q1 + q2) // 2)
             b = rho_plus(uparrow2((q1, q2)), (q1 + q2) // 2)
             if not sum(h * h for h in a) < sum(h * h for h in b):
-                failures.append(("two-row norm", q1, q2))
+                failures.append(_failure("two-row norm", format_partition((q1, q2))))
     return _report("combinatorial kernel", checked, failures)
 
 

@@ -67,4 +67,4 @@ def test_criterion_7_point_values_and_tables():
 def test_criterion_8_combinatorial_kernel():
     # collapse equals the brute-force dominance maximum up to size 14;
     # component-group orders match markable counts; two-row norm inequality
-    report("8", verify.verify_kernel(max_size=14, max_rank=6, norm_top=12))
+    report("8", verify.verify_kernel(max_size=14, max_rank=6))

@@ -92,28 +92,28 @@ def test_error_paths(capsys):
     assert err.value.code == 2
 
 
-# the text each verb's error line must carry
+# each malformed command and the text its error line must carry
 ERROR_TEXT = {
-    "table": "unknown table 'x7'",
-    "group": "orbit kind must be B, C or D",
-    "markable": "orbit kind must be B, C or D",
-    "sommers-dual": "must look like B:<[5,1]>[5,3,1]",
+    ("table", "x7"): "unknown table 'x7'",
+    ("group", "A:[3]"): "orbit kind must be B, C or D",
+    ("markable", "A:[3]"): "orbit kind must be B, C or D",
+    ("sommers-dual", "B:<[5,1"): "must look like B:<[5,1]>[5,3,1]",
+    ("gamma", "C:<[]>[1]"): "[1] is not a type-C partition",
+    ("d-map", "C:<[]>[1]"): "[1] is not a type-C partition",
+    ("gamma-group", "C:<[]>[1]"): "[1] is not a type-C partition",
+    ("ms-lift", "C:<[]>[1]"): "[1] is not a type-C partition",
+    ("gamma", "B:<[]>[4,2]"): "[4,2] is not a type-B partition",
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "x7"],
-    ["group", "A:[3]"],
-    ["markable", "A:[3]"],
-    ["sommers-dual", "B:<[5,1"],
-])
+@pytest.mark.parametrize("argv", list(ERROR_TEXT))
 def test_bad_input_exits_with_one_error_line(capsys, argv):
-    code = main(argv)
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert ERROR_TEXT[argv[0]] in lines[0]
+    assert ERROR_TEXT[argv] in lines[0]
 
 
 def readme_examples():

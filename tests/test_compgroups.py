@@ -3,11 +3,11 @@ import pytest
 from orbitduality.partitions import EPSILON, enumerate_type
 from orbitduality.orbits import Orbit, parse_orbit
 from orbitduality.compgroups import (
-    MarkedFlags, MarkedPartition, abar_rank, all_markings, a_group_elements,
-    canonical_split, classify_marked, equivalent_markings, format_marked,
-    group_data, is_distinguished_marked, kernel_pairs, kernel_subgroup,
-    markable_parts, marking_element, multiset_difference, parse_marked, span,
-    theta_basis, theta_tilde_basis,
+    MarkedPartition, abar_rank, all_markings, a_group_elements,
+    canonical_split, equivalent_markings, format_marked, group_data,
+    is_distinguished_marked, is_reduced, is_special_marked, kernel_pairs,
+    kernel_subgroup, markable_parts, marking_element, multiset_difference,
+    parse_marked, span, theta_basis, theta_tilde_basis,
 )
 
 
@@ -61,13 +61,21 @@ def test_kernel_pairs_agree_on_distinguished_support():
 
 
 def test_classify_marked():
-    assert classify_marked("B", (5, 3, 1), (5, 1)) == MarkedFlags(True, True, True, True)
-    flags = classify_marked("B", (5, 4, 4, 3, 1), (5, 1))
-    assert flags.valid and flags.reduced and not flags.special and not flags.distinguished
-    assert classify_marked("B", (5, 3, 1), (5, 3)).special  # unmarked wrong-parity parts absent
-    assert not classify_marked("B", (5, 3, 1), (5, 2)).valid
-    assert not classify_marked("B", (5, 3, 1), (5,)).valid
-    assert classify_marked("C", (2, 2), ()).special
+    m = MarkedPartition("B", (5, 3, 1), (5, 1))
+    assert is_reduced(m) and is_special_marked(m) and is_distinguished_marked(m)
+    m = MarkedPartition("B", (5, 4, 4, 3, 1), (5, 1))
+    assert is_reduced(m) and not is_special_marked(m) and not is_distinguished_marked(m)
+    # unmarked wrong-parity parts absent
+    assert is_special_marked(MarkedPartition("B", (5, 3, 1), (5, 3)))
+    with pytest.raises(ValueError):
+        MarkedPartition("B", (5, 3, 1), (5, 2))
+    with pytest.raises(ValueError):
+        MarkedPartition("B", (5, 3, 1), (5,))
+    assert is_special_marked(MarkedPartition("C", (2, 2), ()))
+    # the rows must form a partition of the type
+    for kind, lam in (("C", (1,)), ("B", (4, 2)), ("D", (3,))):
+        with pytest.raises(ValueError, match="not a type-%s partition" % kind):
+            MarkedPartition(kind, lam, ())
 
 
 def test_canonical_split_examples():
