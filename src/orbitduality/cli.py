@@ -190,6 +190,8 @@ def _cmd_verify(args):
             for f in r["failures"][:10]:
                 detail = json.dumps(f["detail"], sort_keys=True, default=str)
                 print("  %s %s %s" % (f["check"], f["datum"], detail))
+            if len(r["failures"]) > 10:
+                print("  %d failures (first 10 shown)" % len(r["failures"]))
     return 0 if ok else 1
 
 

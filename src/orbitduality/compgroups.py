@@ -24,7 +24,7 @@ from .partitions import (
     union,
     uparrow,
 )
-from .orbits import Orbit
+from .orbits import DECORATIONS, Orbit
 
 IDENTITY = frozenset()
 
@@ -232,6 +232,8 @@ def marking_problem(kind, lam, nu, decoration=None):
             return "mark %d is not a part" % v
     if kind in ("B", "D") and len(nu) % 2 == 1:
         return "types B and D need an even number of marks"
+    if decoration not in DECORATIONS:
+        return "decoration must be I or II"
     if decoration is not None and not (kind == "D" and is_very_even(lam)):
         return "only very even type-D partitions carry decorations"
     return None

@@ -74,6 +74,35 @@ def dominates(p, q):
     return True
 
 
+def lower_covers(p):
+    """The partitions p covers in the dominance order, by Brylawski's rule
+    (*The lattice of integer partitions*, 1973): move one box from row i
+    down to row j > i, where j = i + 1 or the two rows end up equal.
+
+    Row i must be the last row of its value v.  The box goes to row i + 1
+    when that row is at most v - 2 (a new row when it is 0); when it is
+    v - 1, it goes past the run of rows of value v - 1 to the first row of
+    value v - 2, if there is one.
+    """
+    q = p + (0,)
+    out = []
+    for i in range(len(p)):
+        v = q[i]
+        if q[i + 1] == v:
+            continue
+        j = i + 1
+        if q[j] == v - 1:
+            while j < len(q) and q[j] == v - 1:
+                j += 1
+            if j == len(q) or q[j] != v - 2:
+                continue
+        r = list(q)
+        r[i] -= 1
+        r[j] += 1
+        out.append(tuple(x for x in r if x))
+    return out
+
+
 def is_type(p, kind):
     """Test the type-B/C/D parity condition (size parity plus multiplicities)."""
     if kind == "A":

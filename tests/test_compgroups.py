@@ -78,6 +78,12 @@ def test_classify_marked():
             MarkedPartition(kind, lam, ())
 
 
+def test_decoration_must_be_i_or_ii():
+    assert str(MarkedPartition("D", (2, 2), (), "II")) == "D:<[]>[2,2]II"
+    with pytest.raises(ValueError, match="decoration must be I or II"):
+        MarkedPartition("D", (2, 2), (), "X")
+
+
 def test_canonical_split_examples():
     assert canonical_split(parse_marked("B:<[5,1]>[5,3,1]")) == ((5, 3), (1,))
     assert canonical_split(MarkedPartition("C", (2, 2), (2,))) == ((2,), (2,))

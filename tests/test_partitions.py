@@ -5,8 +5,8 @@ import pytest
 from orbitduality.partitions import (
     as_partition, collapse, dominates, drop_box, add_unit, bump_first,
     drop_column_box, enumerate_partitions, enumerate_type, format_partition,
-    height, is_type, is_very_even, join, multiplicity, parse_partition, size,
-    transpose, union, uparrow, uparrow2,
+    height, is_type, is_very_even, join, lower_covers, multiplicity,
+    parse_partition, size, transpose, union, uparrow, uparrow2,
 )
 
 
@@ -93,6 +93,16 @@ def test_dominance_partial_order():
         for p, q, r in itertools.permutations(ps, 3):
             if dominates(p, q) and dominates(q, r):
                 assert dominates(p, r)
+
+
+def test_lower_covers_are_the_hasse_diagram():
+    for n in range(13):
+        ps = list(enumerate_partitions(n))
+        below = {p: {q for q in ps if q != p and dominates(p, q)} for p in ps}
+        for p in ps:
+            hasse = below[p] - set().union(*(below[r] for r in below[p]))
+            covers = lower_covers(p)
+            assert len(covers) == len(hasse) and set(covers) == hasse, p
 
 
 def test_is_type():

@@ -1,13 +1,15 @@
-"""Property tests on special distinguished data of ranks 10-16, beyond the
-range the exhaustive shell can reach.  Draws are derandomized and bounded,
-so the run is deterministic and short."""
+"""Property tests beyond the ranges the exhaustive suites reach: special
+distinguished data of ranks 10-16, orbits of ranks 10-20, partitions of
+sizes 20-30.  Draws are derandomized and bounded, so the run is
+deterministic and short."""
 
 import itertools
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orbitduality.partitions import EPSILON, is_type
+from orbitduality.partitions import EPSILON, collapse, dominates, enumerate_type, is_type
+from orbitduality.orbits import Orbit, bvls_dual, format_orbit, parse_orbit
 from orbitduality.compgroups import (
     MarkedPartition,
     format_marked,
@@ -96,3 +98,59 @@ def test_dual_routes_agree(m):
     general = sommers_dual(m, "general")
     assert sommers_dual(m, "blocks") == general
     assert sommers_dual(m, "distinguished") == general
+
+
+@st.composite
+def partitions(draw, sizes):
+    """A partition of a size drawn from `sizes`, part by part."""
+    rest = draw(st.sampled_from(sizes))
+    parts = []
+    while rest:
+        parts.append(draw(st.integers(1, min(rest, parts[-1] if parts else rest))))
+        rest -= parts[-1]
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def typed(kind, n):
+    return tuple(enumerate_type(kind, n))
+
+
+@PROPERTY
+@given(partitions(range(20, 31)), st.sampled_from("CD"))
+def test_collapse_is_the_typed_maximum(p, even_kind):
+    # one pass over the typed partitions of the size, no quadratic maximum
+    kind = "B" if sum(p) % 2 else even_kind
+    top = collapse(p, kind)
+    assert is_type(top, kind) and dominates(p, top)
+    assert all(dominates(top, q) for q in typed(kind, sum(p)) if dominates(p, q))
+
+
+@st.composite
+def orbits(draw):
+    """An orbit of rank 10-20: a drawn partition collapsed to the type, with
+    a drawn decoration when it is very even of type D."""
+    kind = draw(st.sampled_from("BCD"))
+    n = _size(kind, draw(st.sampled_from(range(10, 21))))
+    lam = collapse(draw(partitions([n])), kind)
+    very_even = kind == "D" and all(v % 2 == 0 and lam.count(v) % 2 == 0 for v in lam)
+    return Orbit(kind, n, lam, draw(st.sampled_from(["I", "II"])) if very_even else None)
+
+
+@PROPERTY
+@given(orbits())
+def test_orbit_duality_cubes_to_itself(o):
+    d = bvls_dual(o)
+    assert bvls_dual(bvls_dual(d)) == d
+    assert parse_orbit(format_orbit(o)) == o
+
+
+@PROPERTY
+@given(partitions(range(5, 11)), st.sampled_from(["I", "II"]))
+def test_very_even_text_round_trips(half, decoration):
+    # a very even partition of rank 10-20: the parts of `half`, doubled,
+    # each twice; its only marking is the empty one
+    lam = tuple(2 * v for v in half for _ in range(2))
+    m = MarkedPartition("D", lam, (), decoration)
+    assert format_marked(m).endswith(decoration)
+    assert parse_marked(format_marked(m)) == m

@@ -6,7 +6,8 @@ from orbitduality import verify
 from orbitduality.cli import main
 from orbitduality.covers import MSLift, RigidityFlags
 from orbitduality.infchar import Weight
-from orbitduality.orbits import Orbit
+from orbitduality.orbits import Orbit, enumerate_orbits
+from orbitduality.partitions import enumerate_partitions, enumerate_type, lower_covers
 
 
 def test_registry_at_rank_5_gives_the_acceptance_ranges():
@@ -69,8 +70,9 @@ def test_failure_records_replay(monkeypatch, capsys, suite):
     [report] = json.loads(capsys.readouterr().out)
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert report["failures"] and len(lines) == 1 + min(len(report["failures"]), 10)
-    for record, line in zip(report["failures"], lines[1:]):
+    shown = min(len(report["failures"]), 10)
+    assert report["failures"] and len(lines) == 1 + shown + (len(report["failures"]) > 10)
+    for record, line in zip(report["failures"], lines[1:1 + shown]):
         assert line == "  %s %s %s" % (record["check"], record["datum"],
                                        json.dumps(record["detail"], sort_keys=True))
     for record in report["failures"]:
@@ -78,3 +80,102 @@ def test_failure_records_replay(monkeypatch, capsys, suite):
         verb = "gamma" if "<" in record["datum"] else "bvls-dual"
         assert main([verb, record["datum"]]) == 0, record
     capsys.readouterr()
+
+
+def test_text_output_gives_the_failure_total(monkeypatch, capsys):
+    monkeypatch.setattr(verify, *BREAKS["duality"])
+    argv = ["verify", "duality", "--max-rank", "2", "--jobs", "1"]
+    assert main(["--json"] + argv) == 1
+    total = len(json.loads(capsys.readouterr().out)[0]["failures"])
+    assert total > 10
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[-1] == "  %d failures (first 10 shown)" % total
+
+
+def test_collapse_maxima_match_brute_force():
+    # every (p, kind) of the acceptance range, size <= 14
+    for kind, n in [(k, n) for n in range(15) for k in "BCD" if (n % 2 == 1) == (k == "B")]:
+        maxima, failures = verify.collapse_maxima(n, kind)
+        typed = list(enumerate_type(kind, n))
+        assert not failures and list(maxima) == sorted(enumerate_partitions(n))
+        for p, top in maxima.items():
+            assert top == verify.brute_force_maximum(p, typed), (kind, p)
+
+
+def _swapped_duals(kind, n):
+    """A dual map that swaps the duals of an orbit a and of the typed maximum
+    b below one of a's lower covers, where the two duals differ: the order
+    then fails on that cover pair.  Covers late in a's list go first, so
+    that a check of only the first cover misses the pair."""
+    real = verify.bvls_dual
+    duals = {o: real(o) for o in enumerate_orbits(kind, n)}
+    by_parts = {o.parts: o for o in duals}
+    maxima, _ = verify.collapse_maxima(n, kind)
+    pairs = [(i, a, c) for a in duals for i, c in enumerate(lower_covers(a.parts))]
+    for _, a, c in sorted(pairs, key=lambda t: -t[0]):
+        b = by_parts[maxima[c]]
+        if duals[b].parts != duals[a].parts:
+            swap = {a: duals[b], b: duals[a]}
+            return a, b, lambda o: swap.get(o, real(o))
+    raise AssertionError("no cover pair with distinct duals")
+
+
+def _order_verdicts(duals, maxima):
+    return bool(verify._order_by_covers(duals, maxima)), bool(verify._order_by_pairs(duals))
+
+
+def test_order_routes_agree():
+    for kind, sizes in verify.type_sizes(6).items():
+        for n in sizes:
+            maxima, _ = verify.collapse_maxima(n, kind)
+            duals = {o: verify.bvls_dual(o) for o in enumerate_orbits(kind, n)}
+            assert _order_verdicts(duals, maxima) == (False, False), (kind, n)
+            if n >= 4:
+                _, _, broken = _swapped_duals(kind, n)
+                duals = {o: broken(o) for o in duals}
+                assert _order_verdicts(duals, maxima) == (True, True), (kind, n)
+
+
+def _adjacent_covers_only(p):
+    """lower_covers without the case of equal non-adjacent rows."""
+    def moved(c):
+        c = c + (0,) * (len(p) + 1 - len(c))
+        return [i for i, (x, y) in enumerate(zip(p + (0,), c)) if x != y]
+    return [c for c in lower_covers(p) if moved(c)[1] == moved(c)[0] + 1]
+
+
+def test_kernel_rejects_covers_without_equal_rows(monkeypatch):
+    monkeypatch.setattr(verify, "lower_covers", _adjacent_covers_only)
+    report = verify.verify_kernel(max_size=6, max_rank=1)
+    assert {"check": "collapse", "datum": "[2,1]", "detail": {"kind": "B"}} in report["failures"]
+
+
+def test_incomparable_cover_maxima_have_no_maximum(monkeypatch):
+    # (4,1,1) and (3,3) are typed and incomparable, so no maximum lies below
+    # a partition whose lower covers they were
+    real = verify.lower_covers
+    monkeypatch.setattr(verify, "lower_covers",
+                        lambda p: [(4, 1, 1), (3, 3)] if p == (5, 1) else real(p))
+    maxima, failures = verify.collapse_maxima(6, "C")
+    assert maxima[(5, 1)] is None
+    assert failures == [{"check": "collapse", "datum": "[5,1]", "detail": {"kind": "C"}}]
+
+
+def test_kernel_rejects_a_collapse_broken_past_the_reference(monkeypatch):
+    real = verify.collapse
+    monkeypatch.setattr(verify, "collapse",
+                        lambda p, kind: (13,) if p == (12, 1) else real(p, kind))
+    report = verify.verify_kernel(max_size=14, max_rank=1)
+    assert 13 > verify.COLLAPSE_CROSS_CHECK_SIZE
+    assert report["failures"] == [{"check": "collapse", "datum": "[12,1]",
+                                   "detail": {"kind": "B"}}]
+
+
+def test_duality_rejects_a_reversed_cover_pair(monkeypatch):
+    a, b, broken = _swapped_duals("C", 14)
+    monkeypatch.setattr(verify, "bvls_dual", broken)
+    report = verify.verify_duality(max_rank=7)
+    assert {"check": "order", "datum": str(a), "detail": {"below": str(b)}} in report["failures"]
+    # size 14 is past the reference over all pairs
+    assert not [f for f in report["failures"] if f["check"] == "order by pairs"]
