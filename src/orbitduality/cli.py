@@ -178,6 +178,10 @@ def _cmd_table(args):
 
 
 def _cmd_verify(args):
+    if args.max_rank < 0:
+        raise ValueError("--max-rank must be at least 0")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     suites = verify.SUITES if args.suite == "all" else [args.suite]
     reports = verify.verify_all(max_rank=args.max_rank, jobs=args.jobs, suites=suites)
     ok = all(r["passed"] for r in reports)

@@ -223,12 +223,15 @@ def marking_problem(kind, lam, nu, decoration=None):
         return "marked partitions exist in types B, C, D"
     if not is_type(lam, kind):
         return "%s is not a type-%s partition" % (format_partition(lam), kind)
-    if any(nu.count(v) > 1 for v in set(nu)):
+    marks = set(nu)
+    if len(marks) != len(nu):
         return "marks must be multiplicity-free"
-    if any(v % 2 != MARK_PARITY[kind] for v in nu):
-        return "marks must be odd (B/D) or even (C)"
-    for v in set(nu):
-        if lam.count(v) < 1:
+    parity = MARK_PARITY[kind]
+    for v in nu:
+        if v % 2 != parity:
+            return "marks must be odd (B/D) or even (C)"
+    for v in marks:
+        if v not in lam:
             return "mark %d is not a part" % v
     if kind in ("B", "D") and len(nu) % 2 == 1:
         return "types B and D need an even number of marks"

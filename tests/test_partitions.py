@@ -10,6 +10,75 @@ from orbitduality.partitions import (
 )
 
 
+def reference_as_partition(parts):
+    p = tuple(int(x) for x in parts)
+    if any(x < 0 for x in p):
+        raise ValueError("partition parts must be nonnegative")
+    p = tuple(x for x in p if x > 0)
+    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        raise ValueError("partition parts must be weakly decreasing")
+    return p
+
+
+def reference_transpose(p):
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+
+
+def reference_dominates(p, q):
+    if size(p) != size(q):
+        raise ValueError("dominance compares partitions of equal size only")
+    sp = sq = 0
+    for i in range(max(len(p), len(q))):
+        sp += p[i] if i < len(p) else 0
+        sq += q[i] if i < len(q) else 0
+        if sp < sq:
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+AS_PARTITION_GRID = [
+    (), [], (0,), (0, 0), (3,), [3, 1], (3, 1, 0), (3, 0, 1), (0, 3), (2, 0, 0, 2),
+    (-1,), (2, -1), (-1, 2), (3, -1, 0), (1, 2), (2, 2, 3), (1, 1, 1), (5, 3, 3, 1),
+    (" 3", "1 "), ["4", "0"], ("1", "2"), ("3", "-1"), ("x",), ("",), (2.0, 1.0), (2.5, 1),
+    (None,), (True, 1), None, 5, "31", "13", range(4, 0, -1), range(4),
+]
+
+
+def test_as_partition_matches_the_reference():
+    for parts in AS_PARTITION_GRID:
+        assert outcome(as_partition, parts) == outcome(reference_as_partition, parts), parts
+    assert as_partition(x for x in (3, 0, 2)) == (3, 2)
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            for form in (p, p + (0,), list(p), tuple(map(str, p))):
+                assert as_partition(form) == p
+
+
+def test_transpose_matches_the_reference():
+    for n in range(17):
+        for p in enumerate_partitions(n):
+            assert transpose(p) == reference_transpose(p), p
+
+
+def test_dominates_matches_the_reference():
+    for n in range(13):
+        ps = list(enumerate_partitions(n))
+        for p, q in itertools.product(ps, repeat=2):
+            assert dominates(p, q) == reference_dominates(p, q), (p, q)
+    for p, q in (((3,), (2,)), ((1,), ()), ((), (1,)), ((2, 1), (2, 2))):
+        with pytest.raises(ValueError, match="equal size"):
+            dominates(p, q)
+
+
 def brute_collapse(p, kind):
     cands = [q for q in enumerate_type(kind, size(p)) if dominates(p, q)]
     best = [q for q in cands if all(dominates(q, r) for r in cands)]

@@ -1,6 +1,6 @@
 """Property tests beyond the ranges the exhaustive suites reach: special
 distinguished data of ranks 10-16, orbits of ranks 10-20, partitions of
-sizes 20-30.  Draws are derandomized and bounded, so the run is
+sizes 20-40.  Draws are derandomized and bounded, so the run is
 deterministic and short."""
 
 import itertools
@@ -8,7 +8,9 @@ from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orbitduality.partitions import EPSILON, collapse, dominates, enumerate_type, is_type
+from orbitduality.partitions import (
+    EPSILON, collapse, dominates, enumerate_type, is_type, lower_covers, transpose,
+)
 from orbitduality.orbits import Orbit, bvls_dual, format_orbit, parse_orbit
 from orbitduality.compgroups import (
     MarkedPartition,
@@ -124,6 +126,33 @@ def test_collapse_is_the_typed_maximum(p, even_kind):
     top = collapse(p, kind)
     assert is_type(top, kind) and dominates(p, top)
     assert all(dominates(top, q) for q in typed(kind, sum(p)) if dominates(p, q))
+
+
+@PROPERTY
+@given(partitions(range(20, 41)))
+def test_transpose_counts_the_rows_past_each_column(p):
+    cols = transpose(p)
+    assert cols == tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+    assert transpose(cols) == p
+
+
+@st.composite
+def same_size_pairs(draw):
+    n = draw(st.sampled_from(range(20, 41)))
+    return draw(partitions([n])), draw(partitions([n]))
+
+
+@PROPERTY
+@given(same_size_pairs())
+def test_dominates_compares_every_prefix_sum(pair):
+    p, q = pair
+    width = max(len(p), len(q))
+    prefix = [(sum(p[:i]), sum(q[:i])) for i in range(1, width + 1)]
+    assert dominates(p, q) == all(a >= b for a, b in prefix)
+    # transposition reverses the dominance order
+    assert dominates(p, q) == dominates(transpose(q), transpose(p))
+    for cover in lower_covers(p):
+        assert dominates(p, cover) and not dominates(cover, p)
 
 
 @st.composite
