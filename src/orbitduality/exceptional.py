@@ -4,18 +4,20 @@ checks.
 The per-group tables list the special distinguished marked data with their
 minimal weights, and the Galois-group tables list the remaining special data
 with the pseudo-Levi pair and component-group columns.  Weights are given in
-fundamental-weight coordinates; norms are computed exactly through embedded
-Gram matrices.  For the rank-2 and rank-4 groups an explicit root realization
-supports an independent classification of the integral and singular
-subsystems of each tabulated weight, plus a lattice-shell minimality check.
-That check enumerates the dominant chamber only, which suffices because the
-norm and both subsystem types are Weyl-invariant and the lattice is
-Weyl-stable, and prunes by exact integer partial norms.
+fundamental-weight coordinates; norms are computed exactly through the Gram
+matrices.  One root system per group, generated from its Cartan matrix by
+root strings, supports an independent classification of the integral and
+singular subsystems of each tabulated weight, plus a lattice-shell
+minimality check.  That check enumerates the dominant chamber only, which
+suffices because the norm and both subsystem types are Weyl-invariant and
+the lattice is Weyl-stable, and prunes by exact integer partial norms.
 """
 
+import collections
 import functools
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ for _name, _rank in (("E6", 6), ("E7", 7), ("E8", 8)):
         _a[i - 1][j - 1] = _a[j - 1][i - 1] = -1
     _CARTAN[_name] = _a
 
-# halved squared lengths of the simple roots, matching the realizations below
+# halved squared lengths of the simple roots, in the order of the Cartan rows
 _HALF_LENGTHS = {
     "G2": [Fraction(1), Fraction(3)],
     "F4": [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)],
@@ -45,12 +47,6 @@ _HALF_LENGTHS = {
     "E7": [Fraction(1)] * 7,
     "E8": [Fraction(1)] * 8,
 }
-
-# explicit realizations (doubled coordinates) for the subsystem classifier
-_G2_SIMPLE = [(2, -2, 0), (-4, 2, 2)]
-_G2_WEIGHTS = [(0, -2, 2), (-2, -2, 4)]
-_F4_SIMPLE = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-_F4_WEIGHTS = [(2, 2, 0, 0), (4, 2, 2, 0), (3, 1, 1, 1), (2, 0, 0, 0)]
 
 
 def _eliminate(rows):
@@ -171,121 +167,131 @@ def table_lookup(group, dual=None, m_orbit=None):
 
 
 # ---------------------------------------------------------------------------
-# root subsystems for G2 and F4
+# root subsystems
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+Root = collections.namedtuple("Root", "simple coroot long links")
 
 
+def _root_strings(cartan):
+    """Positive roots of the Cartan matrix A[i][j] = <alpha_i, alpha_j^vee>
+    in simple-root coordinates, in order of height.
+
+    The alpha_i-string through a positive root beta other than alpha_i runs
+    from beta - r alpha_i to beta + q alpha_i with r - q = <beta, alpha_i^vee>,
+    and every positive root of height h + 1 is one of height h plus a simple
+    root (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    8.4 and 10.2).  So each height grows from the one below: r is read off
+    the roots already found, and beta + alpha_i is a root exactly when
+    q = r - <beta, alpha_i^vee> is positive.
+    """
+    n = len(cartan)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, found = list(layer), set(layer)
+    while layer:
+        above = []
+        for beta in layer:
+            for i in range(n):
+                r = 0
+                while beta[:i] + (beta[i] - r - 1,) + beta[i + 1:] in found:
+                    r += 1
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if r > sum(beta[j] * cartan[j][i] for j in range(n)) and up not in found:
+                    found.add(up)
+                    above.append(up)
+        roots.extend(above)
+        layer = above
+    return roots
+
+
+@functools.lru_cache(maxsize=None)
 def positive_roots(group):
-    """Doubled-coordinate positive roots of G2 or F4."""
-    if group == "G2":
-        a1, a2 = _G2_SIMPLE
-        combos = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-        return [tuple(p * x + q * y for x, y in zip(a1, a2)) for p, q in combos]
-    if group == "F4":
-        out = []
-        for i in range(4):
-            e = [0, 0, 0, 0]
-            e[i] = 2
-            out.append(tuple(e))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for s in (1, -1):
-                    e = [0, 0, 0, 0]
-                    e[i], e[j] = 2, 2 * s
-                    out.append(tuple(e))
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    out.append((1, s2, s3, s4))
-        return out
-    raise ValueError("explicit roots are embedded for G2 and F4 only")
+    """The positive roots of one group in order of height, the highest last,
+    generated from its Cartan matrix once per group.  Each Root holds the
+    root's simple-root coordinates n, its coroot's simple-coroot coordinates
+    m_j = n_j d_j / d (d_j and d the halved squared lengths of alpha_j and
+    the root), whether it is long, and the indices of the roots it is not
+    orthogonal to.  A weight sum c_i omega_i pairs with the coroot to
+    sum c_i m_i."""
+    cartan, halves = _CARTAN[group], _HALF_LENGTHS[group]
+    n = len(cartan)
+    simple = _root_strings(cartan)
+    # each root in fundamental-weight coordinates, its simple-coroot pairings
+    weights = [[sum(b[a] * cartan[a][j] for a in range(n)) for j in range(n)] for b in simple]
+    half = [sum(w[j] * b[j] * halves[j] for j in range(n)) / 2 for b, w in zip(simple, weights)]
+    coroots = [tuple(int(b[j] * halves[j] / d) for j in range(n)) for b, d in zip(simple, half)]
+    return tuple(
+        Root(b, m, d == max(half),
+             frozenset(t for t, m2 in enumerate(coroots) if sum(map(operator.mul, w, m2))))
+        for b, w, d, m in zip(simple, weights, half, coroots))
 
 
-def fundamental_weights(group):
-    if group == "G2":
-        return _G2_WEIGHTS
-    if group == "F4":
-        return _F4_WEIGHTS
-    raise ValueError("explicit weights are embedded for G2 and F4 only")
+def _scaled(coords):
+    """(k, k * coords as integers) for the least common denominator k."""
+    k = math.lcm(*(c.denominator for c in coords))
+    return k, [int(c * k) for c in coords]
 
 
-def _embed(group, coords):
-    ws = fundamental_weights(group)
-    n = len(ws[0])
-    return tuple(sum(Fraction(c) * w[i] for c, w in zip(coords, ws)) for i in range(n))
+def _subsystems(roots, kcoords, k):
+    """Indices of the integral and the singular positive roots of the weight
+    kcoords / k: those whose coroots pair with kcoords into kZ, and to 0."""
+    integral, singular = [], []
+    for t, root in enumerate(roots):
+        num = sum(map(operator.mul, kcoords, root.coroot))
+        if num % k == 0:
+            integral.append(t)
+            if num == 0:
+                singular.append(t)
+    return integral, singular
 
 
-def _component_label(group, roots):
-    """Type of one irreducible subsystem, labeled on the coroot side: the
-    letter B/C and the tilde marking swap under passage to coroots."""
-    long_sq = max(_dot(r, r) for r in positive_roots(group))
-    nlong = sum(1 for r in roots if _dot(r, r) == long_sq)
-    nshort = len(roots) - nlong
-    rank = _matrix_rank(roots)
-    count = len(roots)
-    if count == 1:
-        return "A1" if nshort else "~A1"
-    if (rank, count) == (2, 3):
-        return "A2" if nshort == 3 else "~A2"
-    if (rank, count) == (2, 4):
-        return "B2"
-    if (rank, count) == (2, 6):
-        return "G2"
-    if (rank, count) == (3, 6):
-        return "A3" if nshort == 6 else "~A3"
-    if (rank, count) == (3, 9):
-        return "C3" if nlong == 6 else "B3"
-    if (rank, count) == (4, 10):
-        return "A4" if nshort == 10 else "~A4"
-    if (rank, count) == (4, 12):
-        return "D4" if nlong == 12 else "~D4"
-    if (rank, count) == (4, 16):
-        return "C4" if nlong == 12 else "B4"
-    if (rank, count) == (4, 24):
-        return "F4"
+def _component_label(group, component):
+    """Type of one irreducible subsystem from its rank, its root count and
+    its long/short split, labeled on the coroot side: a B_r of roots is a
+    C_r of coroots, and "~" marks a one-length component of long roots in a
+    group with two root lengths, whose coroots are short."""
+    rank = _matrix_rank([r.simple for r in component])
+    count = len(component)
+    nlong = sum(r.long for r in component)
+    nshort = count - nlong
+    if nlong and nshort:
+        if count == rank * rank:
+            return ("C" if nlong > nshort else "B") + str(rank)
+        if (rank, count) in ((2, 6), (4, 24)):
+            return {2: "G2", 4: "F4"}[rank]
+    else:
+        tilde = "~" if nlong and len(set(_HALF_LENGTHS[group])) > 1 else ""
+        if count == rank * (rank + 1) // 2:
+            return tilde + "A" + str(rank)
+        if rank >= 4 and count == rank * (rank - 1):
+            return tilde + "D" + str(rank)
+        if count == {6: 36, 7: 63, 8: 120}.get(rank):
+            return "E" + str(rank)
     raise ValueError("unrecognized subsystem shape (rank %d, %d roots)" % (rank, count))
 
 
-def _split_components(roots):
-    comps = []
-    todo = list(roots)
+def _label_set(group, roots, members):
+    """Sorted "+"-joined labels of the irreducible components of the roots
+    with the given indices; "" for none."""
+    todo = set(members)
+    labels = []
     while todo:
-        comp = [todo.pop()]
-        grew = True
-        while grew:
-            grew = False
-            for r in list(todo):
-                if any(_dot(r, c) != 0 for c in comp):
-                    comp.append(r)
-                    todo.remove(r)
-                    grew = True
-        comps.append(comp)
-    return comps
+        component = [todo.pop()]
+        for t in component:
+            near = roots[t].links & todo
+            todo -= near
+            component.extend(near)
+        labels.append(_component_label(group, [roots[t] for t in component]))
+    return "+".join(sorted(labels))
 
 
 def subsystem_classify(group, coords):
     """(integral type, singular type) of a weight in fundamental coordinates,
     labeled on the coroot side, e.g. ("A1+~A1", "") for the half-sum weight
     (1,1)/2 in G2."""
-    gamma = _embed(group, coords)
-    integral, singular = [], []
-    for alpha in positive_roots(group):
-        pairing = Fraction(2 * _dot(gamma, alpha), _dot(alpha, alpha))
-        if pairing.denominator == 1:
-            integral.append(alpha)
-            if pairing == 0:
-                singular.append(alpha)
-    return _label_set(group, integral), _label_set(group, singular)
-
-
-def _label_set(group, roots):
-    if not roots:
-        return ""
-    labels = sorted(_component_label(group, c) for c in _split_components(roots))
-    return "+".join(labels)
+    roots = positive_roots(group)
+    k, kcoords = _scaled(coords)
+    return tuple(_label_set(group, roots, s) for s in _subsystems(roots, kcoords, k))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +400,7 @@ def verify_tables(group):
 
 
 def verify_classification(group):
-    """For G2 and F4: the integral subsystem of each tabulated entry weight
+    """The integral subsystem of each tabulated entry weight
     matches the pseudo-Levi type of its entry, tilde-insensitively."""
     failures = []
     checked = 0
@@ -447,11 +453,11 @@ def _dominant_points_within(h, budget):
 
 
 def verify_shell_minimality(group):
-    """For G2 and F4: each tabulated entry weight is norm-minimal among the
-    lattice points (in its own denominator refinement) sharing both its
-    integral and singular types.  A weaker stand-in for comparing full
-    pseudo-Levi data: type-equal points could in principle carry different
-    data, so failures here would require inspection, not table corrections.
+    """Each tabulated entry weight is norm-minimal among the lattice points
+    (in its own denominator refinement) sharing both its integral and
+    singular types.  A weaker stand-in for comparing full pseudo-Levi data:
+    type-equal points could in principle carry different data, so failures
+    here would require inspection, not table corrections.
 
     The norm and both subsystem types are Weyl-invariant, and the lattice
     (1/k)P of a weight with denominator k is Weyl-stable, so a shorter
@@ -461,56 +467,44 @@ def verify_shell_minimality(group):
     Weyl orbit.
     """
     roots = positive_roots(group)
-    weights = fundamental_weights(group)
-    n = len(weights)
-    # pairing numerators: <c/k . w, alpha-check> = (P c) / (k (a,a)/2 . 2)
-    pmat = [[sum(weights[i][t] * a[t] for t in range(len(a))) for i in range(n)]
-            for a in roots]       # 4 (gamma, alpha) per unit coefficient
-    norms2 = [_dot(a, a) for a in roots]   # 4 (alpha, alpha)
     h = _integer_gram(group)
-
-    def pairing_counts(point, k):
-        """(integral, singular) root counts of point/k."""
-        n_int = n_sing = 0
-        for j in range(len(roots)):
-            num = 2 * sum(point[i] * pmat[j][i] for i in range(n))
-            if num % (k * norms2[j]) == 0:
-                n_int += 1
-                if num == 0:
-                    n_sing += 1
-        return n_int, n_sing
-
     failures = []
     checked = 0
     for row in load_table(group)["rows"]:
         for label, gamma_text in row["entries"]:
             coords = parse_gamma(gamma_text)
-            k = math.lcm(*(c.denominator for c in coords))
-            kcoords = [int(c * k) for c in coords]
+            k, kcoords = _scaled(coords)
             key = subsystem_classify(group, coords)
-            counts = pairing_counts(kcoords, k)
+            counts = tuple(map(len, _subsystems(roots, kcoords, k)))
             budget = _form(h, kcoords)
             checked += 1
             for point, q in _dominant_points_within(h, budget):
-                if q >= budget or pairing_counts(point, k) != counts:
+                if q >= budget:
                     continue
-                cand = tuple(Fraction(x, k) for x in point)
-                if subsystem_classify(group, cand) == key:
-                    failures.append((row["dual"], label, [str(x) for x in cand]))
+                subsystems = _subsystems(roots, point, k)
+                if (tuple(map(len, subsystems)) == counts and
+                        tuple(_label_set(group, roots, s) for s in subsystems) == key):
+                    failures.append((row["dual"], label, [str(Fraction(x, k)) for x in point]))
                     break
     return {"group": group, "checked": checked, "failures": failures,
             "passed": not failures}
 
 
 def self_check():
-    """Load-time sanity: embedded realizations match the Cartan data, and
-    every Gram matrix is positive definite.  Returns False on a mismatch."""
-    for group in ("G2", "F4"):
-        if len(positive_roots(group)) != {"G2": 6, "F4": 24}[group]:
-            return False
-        g = gram_matrix(group)
-        ws = fundamental_weights(group)
-        if any(Fraction(_dot(ws[i], ws[j]), 4) != g[i][j]
-               for i in range(len(ws)) for j in range(len(ws))):
+    """Sanity of the generated root systems and the Gram matrices: each group
+    has its known number of positive roots, from its Cartan matrix and from
+    the transpose; the coroots are the positive roots of the transpose;
+    every root pairs to 2 with its own coroot; every Gram matrix is positive
+    definite.  Returns False on a mismatch."""
+    counts = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
+    for group in GROUPS:
+        cartan = _CARTAN[group]
+        n = len(cartan)
+        roots = positive_roots(group)
+        dual = _root_strings([list(col) for col in zip(*cartan)])
+        if (not len(roots) == len(dual) == counts[group]
+                or {r.coroot for r in roots} != set(dual)
+                or any(sum(r.simple[a] * cartan[a][b] * r.coroot[b]
+                           for a in range(n) for b in range(n)) != 2 for r in roots)):
             return False
     return all(_is_positive_definite(gram_matrix(group)) for group in GROUPS)

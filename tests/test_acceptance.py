@@ -60,8 +60,9 @@ def test_criterion_6_richardson_vs_saturation():
 
 
 def test_criterion_7_point_values_and_tables():
-    # source point values, exceptional tables, rank-2/4 classifications and
-    # lattice-shell minimality, Galois-table rank consistency
+    # source point values, exceptional tables, the G2/F4 subsystem
+    # classifications and lattice-shell minimality on the Cartan-generated
+    # root systems, Galois-table rank consistency
     report("7", verify.verify_point_values())
 
 

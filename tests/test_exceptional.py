@@ -57,6 +57,93 @@ def test_classification_matches_tables():
         assert report["passed"], report["failures"]
 
 
+# (integral, singular) labels of every G2/F4 table entry as given by an
+# explicit doubled-coordinate realization of the two groups, the classifier's
+# data before it generated its roots from the Cartan matrix.
+@pytest.mark.parametrize("group, text, types", [
+    ("G2", "(1,0)", ("G2", "~A1")),
+    ("G2", "(1,1)/2", ("A1+~A1", "")),
+    ("G2", "(3,1)/3", ("A2", "")),
+    ("G2", "(1,1)", ("G2", "")),
+    ("F4", "(0,0,1,0)", ("F4", "A1+~A2")),
+    ("F4", "(0,1,0,2)/2", ("B4", "A1+~A1")),
+    ("F4", "(1,0,1,1)/2", ("A1+C3", "~A1")),
+    ("F4", "(1,1,1,1)/3", ("A2+~A2", "")),
+    ("F4", "(1,1,2,2)/4", ("A3+~A1", "")),
+    ("F4", "(1,0,1,0)", ("F4", "A1+~A1")),
+    ("F4", "(1,1,1,1)/2", ("A1+C3", "")),
+    ("F4", "(1,0,1,1)", ("F4", "~A1")),
+    ("F4", "(1,1,2,2)/2", ("B4", "")),
+    ("F4", "(1,1,1,1)", ("F4", "")),
+])
+def test_subsystem_labels_of_table_entries(group, text, types):
+    assert text in [e[1] for r in ex.load_table(group)["rows"] for e in r["entries"]]
+    assert ex.subsystem_classify(group, ex.parse_gamma(text)) == types
+
+
+@pytest.mark.parametrize("group, highest", [
+    ("G2", (3, 2)), ("F4", (2, 3, 4, 2)), ("E6", (1, 2, 2, 3, 2, 1)),
+    ("E7", (2, 2, 3, 4, 3, 2, 1)), ("E8", (2, 3, 4, 6, 5, 4, 3, 2)),
+])
+def test_highest_root(group, highest):
+    # Bourbaki's numbering of the simple roots, as in the Cartan matrices
+    roots = ex.positive_roots(group)
+    assert roots[-1].simple == highest
+    assert max(sum(r.simple) for r in roots[:-1]) == sum(highest) - 1
+
+
+@pytest.mark.parametrize("group, text, types", [
+    ("E6", "(1,0,0,0,0,1)", ("E6", "D4")),
+    ("E7", "(0,0,0,0,0,0,1)/2", ("E6", "E6")),
+    ("E8", "(0,0,0,0,0,0,0,1)/2", ("A1+E7", "E7")),
+    ("E8", "(1,0,0,0,0,0,0,0)/2", ("D8", "D7")),
+])
+def test_e_type_subsystem_labels(group, text, types):
+    # omega_i / 2 is integral on the coroots whose alpha_i^vee coefficient is
+    # even: the extended diagram minus node i where the highest coroot has
+    # coefficient 2 there, the diagram minus node i where it has 1.  A
+    # dominant weight is singular on the diagram of the nodes where it is 0.
+    assert ex.subsystem_classify(group, ex.parse_gamma(text)) == types
+
+
+def test_self_check_rejects_a_truncated_root_system(monkeypatch):
+    """F4 without its highest root has 23 positive roots and no longer
+    closes up into the F4 that is the integral subsystem of (0,0,1,0)."""
+    full = ex.positive_roots
+    monkeypatch.setattr(ex, "positive_roots",
+                        lambda group: full(group)[:-1] if group == "F4" else full(group))
+    assert not ex.self_check()
+    with pytest.raises(ValueError, match="unrecognized subsystem shape"):
+        ex.verify_classification("F4")
+    with pytest.raises(ValueError, match="unrecognized subsystem shape"):
+        ex.verify_shell_minimality("F4")
+
+
+@pytest.mark.parametrize("group, entries", [("E6", 5), ("E7", 10)])
+def test_classification_matches_e_tables(group, entries):
+    report = ex.verify_classification(group)
+    assert report["checked"] == entries
+    assert report["passed"], report["failures"]
+
+
+def test_shell_minimality_e6():
+    report = ex.verify_shell_minimality("E6")
+    assert report["checked"] == 5
+    assert report["passed"], report["failures"]
+
+
+def test_e8_classification_finds_one_mismatch():
+    """The D7(a2) entry tabulates E7+A1 at rho/4.  The pairing of rho/4 with
+    a coroot is its height over 4, so the integral roots are the 26 of
+    height divisible by 4, an A3+D5 (6 + 20 roots); E7+A1 has 64."""
+    row = [r for r in ex.load_table("E8")["rows"] if r["dual"] == "D7(a2)"][0]
+    assert row["entries"] == [["E7+A1", "(1,1,1,1,1,1,1,1)/4"]]
+    assert sum(1 for r in ex.positive_roots("E8") if sum(r.coroot) % 4 == 0) == 26
+    report = ex.verify_classification("E8")
+    assert report["checked"] == 28
+    assert report["failures"] == [("D7(a2)", "E7+A1", "A3+D5")]
+
+
 def test_shell_minimality_g2():
     report = ex.verify_shell_minimality("G2")
     assert report["passed"], report["failures"]
