@@ -2,10 +2,16 @@
 
 One verb per library operation, line-oriented output by default and a single
 JSON document with --json.  The verify verbs run the exhaustive suites and
-exit nonzero when any check fails.
+exit nonzero when any check fails.  Any bad input, a usage error included,
+exits 1 with one `error:` line on stderr.
+
+`main` may be called many times in one process.  The parser is built on the
+first call and reused after that, so a single query pays for its answer and
+not for the parser.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -199,8 +205,23 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, for `main` to report as one
+    `error:` line with exit code 1; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """A new parser for the command line.
+
+    `main` builds one per process and reuses it: each `parse_args` makes a
+    new Namespace, and no action keeps state between calls.  Two values are
+    frozen when it is built: the `verify` suite choices, from `verify.SUITES`,
+    and the `--jobs` default, from `os.cpu_count()`.
+    """
+    parser = _Parser(
         prog="orbitduality",
         description="exact nilpotent-orbit combinatorics for classical types")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
@@ -271,16 +292,22 @@ def build_parser():
     p.add_argument("--max-rank", type=int, default=5,
                    help="sets every suite's range: rank N (duality N+1; "
                         "kernel size 2N+4, rank N+1; tables fixed)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    # looks up the module-level name at call time, so a rebinding of
+    # `build_parser` (a profiler's wrapper, a test's counter) sees the build
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         result = args.fn(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -85,10 +85,6 @@ def _invert(matrix):
     return [row[n:] for row in reduced]
 
 
-def _matrix_rank(vectors):
-    return len(_eliminate(vectors)[1])
-
-
 def _is_positive_definite(g):
     """A symmetric matrix is positive definite exactly when elimination finds
     every pivot on the diagonal, without a swap, and positive: the pivots
@@ -245,12 +241,27 @@ def _subsystems(roots, kcoords, k):
     return integral, singular
 
 
+def _component_rank(component):
+    """Rank of an irreducible subsystem: the number of its positive roots
+    that are not a sum of two of them, which are its simple roots
+    (Humphreys, 10.1).  A positive root that is not simple is a simple root
+    plus a positive root (Humphreys, 10.2), both of lower height, so in
+    order of height each root is tested against the simple roots found so
+    far."""
+    found = {r.simple for r in component}
+    simple = []
+    for a in sorted(found, key=sum):
+        if not any(tuple(map(operator.sub, a, b)) in found for b in simple):
+            simple.append(a)
+    return len(simple)
+
+
 def _component_label(group, component):
     """Type of one irreducible subsystem from its rank, its root count and
     its long/short split, labeled on the coroot side: a B_r of roots is a
     C_r of coroots, and "~" marks a one-length component of long roots in a
     group with two root lengths, whose coroots are short."""
-    rank = _matrix_rank([r.simple for r in component])
+    rank = _component_rank(component)
     count = len(component)
     nlong = sum(r.long for r in component)
     nshort = count - nlong
@@ -270,19 +281,23 @@ def _component_label(group, component):
     raise ValueError("unrecognized subsystem shape (rank %d, %d roots)" % (rank, count))
 
 
-def _label_set(group, roots, members):
-    """Sorted "+"-joined labels of the irreducible components of the roots
-    with the given indices; "" for none."""
+def _components(roots, members):
+    """The irreducible components of the roots with the given indices, each
+    a list of Roots: the classes of the members under non-orthogonality."""
     todo = set(members)
-    labels = []
     while todo:
         component = [todo.pop()]
         for t in component:
             near = roots[t].links & todo
             todo -= near
             component.extend(near)
-        labels.append(_component_label(group, [roots[t] for t in component]))
-    return "+".join(sorted(labels))
+        yield [roots[t] for t in component]
+
+
+def _label_set(group, roots, members):
+    """Sorted "+"-joined labels of the irreducible components of the roots
+    with the given indices; "" for none."""
+    return "+".join(sorted(_component_label(group, c) for c in _components(roots, members)))
 
 
 def subsystem_classify(group, coords):

@@ -219,14 +219,52 @@ def uparrow2(q):
 
 
 def enumerate_partitions(n, max_part=None):
-    """Yield all partitions of n (largest part first), in reverse lex order."""
+    """Yield all partitions of n (largest part first), in reverse lex order,
+    with no part above max_part when it is given.
+
+    Iterative (algorithm ZS1 of Zoghbi and Stojmenovic, 1998): the next
+    partition lowers the last part above 1 by one and refills the units it
+    and the trailing 1s held, greedily, with parts no larger than the
+    lowered one.  x holds the current partition in its first m entries and
+    1s after them; h is the index of its last part above 1.
+    """
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in enumerate_partitions(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    q, r = divmod(n, top)
+    x = [top] * q + [1] * (n - q)
+    m = q
+    h = q - 1 if top > 1 else -1
+    if r:
+        x[q] = r
+        m += 1
+        if r > 1:
+            h = q
+    while True:
+        yield tuple(x[:m])
+        if h < 0:
+            return
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+            continue
+        k = x[h] - 1
+        t = m - h
+        x[h] = k
+        while t >= k:
+            h += 1
+            x[h] = k
+            t -= k
+        m = h + 1
+        if t:
+            m += 1
+            if t > 1:
+                h += 1
+                x[h] = t
 
 
 def enumerate_type(kind, n):

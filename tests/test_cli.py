@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitduality import cli
 from orbitduality.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,9 +92,15 @@ def test_verify_with_no_checks_fails(capsys):
 def test_error_paths(capsys):
     code = main(["collapse", "--kind", "B", "[6,4]"])
     assert code == 1
+    code = main(["collapse"])
+    assert code == 1
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["collapse"])
-    assert err.value.code == 2
+        main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: orbitduality")
 
 
 # each malformed command and the text its error line must carry
@@ -110,6 +117,10 @@ ERROR_TEXT = {
     ("verify", "all", "--max-rank", "-1"): "--max-rank must be at least 0",
     ("verify", "kernel", "--jobs", "-3"): "--jobs must be at least 1",
     ("verify", "minimality", "--jobs", "0"): "--jobs must be at least 1",
+    # usage errors from the parser
+    ("collapse",): "the following arguments are required: --kind, partition",
+    ("verify", "nosuch"): "argument suite: invalid choice: 'nosuch'",
+    ("verify", "tables", "--max-rank", "x"): "argument --max-rank: invalid int value: 'x'",
 }
 
 
@@ -121,6 +132,44 @@ def test_bad_input_exits_with_one_error_line(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert ERROR_TEXT[argv] in lines[0]
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    code, out = run(capsys, "--json", "transpose", "[3,1]")
+    assert code == 0 and json.loads(out) == {"transpose": [2, 1, 1]}
+    code, out = run(capsys, "transpose", "[3,1]")
+    assert code == 0 and out == "[2,1,1]"
+    code, out = run(capsys, "--json", "sommers-dual", "B:<[5,1]>[5,3,1]", "--route", "blocks")
+    assert code == 0 and json.loads(out)["route"] == "blocks"
+    code, out = run(capsys, "--json", "sommers-dual", "B:<[5,1]>[5,3,1]")
+    assert code == 0 and json.loads(out)["route"] == "general"
+    assert main(["verify", "nosuch"]) == 1
+    capsys.readouterr()
+    code, out = run(capsys, "gamma", "B:<[5,1]>[5,4,4,3,1]")
+    assert code == 0 and out == "(5/2,3/2,3/2,3/2,1/2,1/2,1/2,1/2)"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for partition in ("[3,1]", "[4,2,2]", "[x]", "[5]"):
+            main(["transpose", partition])
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
 
 
 def test_module_entry_point():

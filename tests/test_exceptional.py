@@ -51,6 +51,23 @@ def test_subsystem_classification():
     assert ex.subsystem_classify("G2", ex.parse_gamma("(1,1)"))[1] == ""
 
 
+def test_component_rank_matches_elimination():
+    """The simple-root count of every component of the integral and singular
+    subsystems of every table entry equals the rank found by elimination."""
+    seen = 0
+    for group in ex.GROUPS:
+        roots = ex.positive_roots(group)
+        for row in ex.load_table(group)["rows"]:
+            for _, text in row["entries"]:
+                k, kcoords = ex._scaled(ex.parse_gamma(text))
+                for members in ex._subsystems(roots, kcoords, k):
+                    for component in ex._components(roots, members):
+                        rank = len(ex._eliminate([r.simple for r in component])[1])
+                        assert ex._component_rank(component) == rank, (group, text)
+                        seen += 1
+    assert seen > 100
+
+
 def test_classification_matches_tables():
     for group in ("G2", "F4"):
         report = ex.verify_classification(group)

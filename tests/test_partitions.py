@@ -10,6 +10,16 @@ from orbitduality.partitions import (
 )
 
 
+def reference_enumerate_partitions(n, max_part=None):
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(n, max_part)
+    for first in range(top, 0, -1):
+        for rest in reference_enumerate_partitions(n - first, first):
+            yield (first,) + rest
+
+
 def reference_as_partition(parts):
     p = tuple(int(x) for x in parts)
     if any(x < 0 for x in p):
@@ -51,6 +61,15 @@ AS_PARTITION_GRID = [
     (" 3", "1 "), ["4", "0"], ("1", "2"), ("3", "-1"), ("x",), ("",), (2.0, 1.0), (2.5, 1),
     (None,), (True, 1), None, 5, "31", "13", range(4, 0, -1), range(4),
 ]
+
+
+def test_enumerate_partitions_matches_the_reference():
+    for n in range(21):
+        assert list(enumerate_partitions(n)) == list(reference_enumerate_partitions(n))
+    for n in range(13):
+        for max_part in range(-1, n + 2):
+            assert (list(enumerate_partitions(n, max_part))
+                    == list(reference_enumerate_partitions(n, max_part))), (n, max_part)
 
 
 def test_as_partition_matches_the_reference():
