@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .partitions import collapse, format_partition, parse_partition, transpose
+from .partitions import collapse, format_partition, parse_partition, size, transpose
 from .orbits import (
     Orbit,
     bvls_dual,
@@ -71,30 +71,32 @@ def _cmd_transpose(args):
 
 
 def _split_levi_orbits(args):
-    levi, res_kind = parse_levi(args.levi)
+    gl, residual, res_kind = parse_levi(args.levi)
     kind = args.kind or res_kind
     if kind is None:
         raise ValueError("a gl-only Levi needs --kind")
+    if res_kind and kind != res_kind:
+        raise ValueError("--kind %s does not match the Levi's type-%s factor"
+                         % (kind, res_kind))
     orbits = _parse_orbits_arg(args.orbits)
-    if len(orbits) != len(levi.gl) + 1:
+    if len(orbits) != len(gl) + 1:
         raise ValueError("need %d gl orbits plus a core (semicolon-separated)"
-                         % len(levi.gl))
-    core_parts = orbits[-1]
-    core = Orbit(kind, sum(core_parts), core_parts)
-    return levi, orbits[:-1], core, kind
+                         % len(gl))
+    for a, lam in zip(gl, orbits):
+        if size(lam) != a:
+            raise ValueError("gl(%d) orbit has size %d" % (a, size(lam)))
+    return orbits[:-1], Orbit(kind, residual, orbits[-1])
 
 
 def _cmd_induce(args):
-    levi, gl_orbits, core, kind = _split_levi_orbits(args)
-    res = induce(levi, gl_orbits, core, kind=kind)
+    res = induce(*_split_levi_orbits(args))
     doc = {"orbit": _orbit_doc(res.orbit), "birational": res.birational,
            "collapsed": res.collapsed, "decoration_unknown": res.decoration_unknown}
     _emit(args, doc, ["%s birational=%s" % (format_orbit(res.orbit), res.birational)])
 
 
 def _cmd_saturate(args):
-    levi, gl_orbits, core, kind = _split_levi_orbits(args)
-    out = saturate(levi, gl_orbits, core, kind=kind)
+    out = saturate(*_split_levi_orbits(args))
     _emit(args, {"orbit": _orbit_doc(out)}, [format_orbit(out)])
 
 
@@ -240,7 +242,7 @@ def build_parser():
             ("induce", _cmd_induce, "induce an orbit from a Levi"),
             ("saturate", _cmd_saturate, "saturate an orbit from a Levi")):
         p = sub.add_parser(verb, help=help_text)
-        p.add_argument("levi", help="e.g. gl(4)+sp(8) or gl(2)+gl(2)'")
+        p.add_argument("levi", help="e.g. gl(4)+sp(8) or gl(2)+gl(2)")
         p.add_argument("orbits", help="semicolon list: one per gl factor, then the core")
         p.add_argument("--kind", choices=["B", "C", "D"])
         p.set_defaults(fn=fn)
@@ -309,7 +311,7 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         result = args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return result or 0

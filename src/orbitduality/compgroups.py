@@ -71,14 +71,11 @@ class GroupData:
     eps_values: tuple      # distinct parts of lam^eps
     a_rank: int            # log2 |A(O)|
     a_ad_rank: int         # log2 |A^ad(O)|
-    upsilon_tilde: frozenset
     s1_nonempty: bool
 
 
 def group_data(orbit):
-    """Ranks of A(O) and A^ad(O) and the central involution v-tilde."""
-    if orbit.kind == "A":
-        return GroupData((), 0, 0, IDENTITY, False)
+    """Ranks of A(O) and A^ad(O); s1 is the support of v-tilde."""
     lam, kind = orbit.parts, orbit.kind
     vals = distinct_eps_values(lam, kind)
     r = len(vals)
@@ -90,7 +87,7 @@ def group_data(orbit):
         a_rank = max(r - 1, 0)
         # v-tilde lies in A(O) only when its support has even size
         a_ad_rank = a_rank if len(s1) % 2 == 1 or not s1 else max(r - 2, 0)
-    return GroupData(vals, a_rank, a_ad_rank, s1, bool(s1))
+    return GroupData(vals, a_rank, a_ad_rank, bool(s1))
 
 
 def markable_parts(lam, kind):

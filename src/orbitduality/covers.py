@@ -7,7 +7,7 @@ the Galois group of the maximal equivalent cover.
 from dataclasses import dataclass
 
 from .partitions import EPSILON, is_very_even, size
-from .orbits import InducedOrbit, LeviShape, Orbit, induce
+from .orbits import InducedOrbit, Orbit, induce
 from .compgroups import (
     MARK_PARITY,
     MarkedPartition,
@@ -32,9 +32,6 @@ class CoverSpec:
     base: Orbit
     degree: int
     subgroup: frozenset = None
-
-    def exact_subgroup(self):
-        return self.subgroup is not None
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,8 @@ def saturation_chain(m):
     core_dual = dual = sommers_dual(cur, route="general")
     steps = []
     for a in sorted(gl, reverse=True):
-        nxt = sat_la(LeviShape((a,), size(cur.lam)), [(a,)], cur, kind=m.kind)
-        induced = induce(LeviShape((a,), dual.ambient), [(1,) * a], dual, kind=dual.kind)
+        nxt = sat_la([(a,)], cur)
+        induced = induce([(1,) * a], dual)
         dual = sommers_dual(nxt, route="general")
         if induced.orbit.parts != dual.parts:
             raise AssertionError("induction/duality mismatch at gl(%d)" % a)

@@ -150,18 +150,6 @@ def load_gamma_table(group):
         return json.load(fh)
 
 
-def table_lookup(group, dual=None, m_orbit=None):
-    rows = load_table(group)["rows"]
-    out = []
-    for row in rows:
-        if dual is not None and row["dual"] != dual:
-            continue
-        if m_orbit is not None and all(e[0] != m_orbit for e in row["entries"]):
-            continue
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # root subsystems
 

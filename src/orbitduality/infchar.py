@@ -8,7 +8,6 @@ the coordinate product.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partitions import EPSILON, as_partition, size, transpose, union, uparrow
 from .compgroups import MARK_PARITY, canonical_split
@@ -31,15 +30,8 @@ class Weight:
     def __len__(self):
         return len(self.halves)
 
-    def coords(self):
-        return tuple(Fraction(h, 2) for h in self.halves)
-
     def __str__(self):
         return format_weight(self)
-
-
-def norm_sq(w):
-    return Fraction(sum(h * h for h in w.halves), 4)
 
 
 def canonical(w):
@@ -53,10 +45,6 @@ def canonical(w):
             if h < 0:
                 sign = -sign
     return Weight(w.kind, body), sign
-
-
-def dominant(w):
-    return canonical(w)[0]
 
 
 def rho_plus(q, length=None):
@@ -158,22 +146,6 @@ def gamma_la(m):
     for a in gl:
         parts = union(parts, (a, a))
     return Weight(DUAL_KIND[m.kind], rho_plus(parts, size(m.lam) // 2))
-
-
-def parse_weight(text, kind="B"):
-    """Parse "(5/2,3/2,1/2,1/2)" into a Weight."""
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError("weight text must be parenthesized")
-    body = s[1:-1].strip()
-    halves = []
-    if body:
-        for piece in body.split(","):
-            f = Fraction(piece.strip())
-            if f.denominator not in (1, 2):
-                raise ValueError("coordinates must be half-integers")
-            halves.append(int(2 * f))
-    return Weight(kind, tuple(halves))
 
 
 def format_weight(w):

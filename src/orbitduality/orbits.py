@@ -4,8 +4,7 @@ Orbits of so(2n+1), sp(2n), so(2n) are partitions of 2n+1 / 2n / 2n of type
 B / C / D; very even type-D partitions label two orbits, distinguished by a
 decoration I or II.  This module implements saturation and induction along
 Levi subalgebras, the induced-orbit birationality test, and the duality map
-exchanging the B and C families (fixing D), together with the standard orbit
-predicates.
+exchanging the B and C families (fixing D).
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ class Orbit:
     decoration: str = None
 
     def __post_init__(self):
-        if self.kind not in ("A", "B", "C", "D"):
+        if self.kind not in ("B", "C", "D"):
             raise ValueError("unknown kind %r" % (self.kind,))
         object.__setattr__(self, "parts", as_partition(self.parts))
         n = sum(self.parts)
@@ -57,30 +56,6 @@ class Orbit:
         return format_orbit(self)
 
 
-@dataclass(frozen=True)
-class LeviShape:
-    """gl(a_1) x ... x gl(a_t) x g(m) inside a classical g(N).
-
-    `residual` is the ambient size m of the classical factor (0 if absent);
-    `primed` marks the second SO(2n)-class of gl-only Levis in type D.
-    """
-    gl: tuple
-    residual: int = 0
-    primed: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "gl", tuple(int(a) for a in self.gl))
-        if any(a < 1 for a in self.gl):
-            raise ValueError("gl sizes must be positive")
-        if self.residual < 0:
-            raise ValueError("residual ambient size must be >= 0")
-        if self.primed and self.residual != 0:
-            raise ValueError("primed Levis have no classical factor")
-
-    def ambient(self):
-        return 2 * sum(self.gl) + self.residual
-
-
 def enumerate_orbits(kind, ambient):
     """All orbits of g(ambient); very even type-D partitions appear twice."""
     if kind == "B" and ambient % 2 == 0 or kind in ("C", "D") and ambient % 2 == 1:
@@ -95,35 +70,22 @@ def enumerate_orbits(kind, ambient):
     return out
 
 
-def _check_levi(levi, gl_orbits, core, kind):
-    if len(gl_orbits) != len(levi.gl):
-        raise ValueError("expected %d gl orbits, got %d" % (len(levi.gl), len(gl_orbits)))
-    for a, lam in zip(levi.gl, gl_orbits):
-        if size(lam) != a:
-            raise ValueError("gl(%d) orbit has size %d" % (a, size(lam)))
-    if core.ambient != levi.residual:
-        raise ValueError("core lives in g(%d), Levi residual is g(%d)"
-                         % (core.ambient, levi.residual))
-    if core.kind != kind and core.ambient > 0:
-        raise ValueError("core kind %s does not match ambient kind %s" % (core.kind, kind))
-
-
-def saturate(levi, gl_orbits, core, kind=None):
+def saturate(gl_orbits, core):
     """Saturation: the big-group orbit meeting the Levi orbit.
 
-    The partition is core + a pair of rows for every gl-orbit row; a very
-    even result inherits the core decoration.
+    The Levi is one gl(|p|) per gl orbit p times the classical factor of the
+    core, inside the algebra of the core's kind.  The partition is core + a
+    pair of rows for every gl-orbit row; a very even result inherits the
+    core decoration.
     """
-    kind = kind or core.kind
-    gl_orbits = [as_partition(x) for x in gl_orbits]
-    _check_levi(levi, gl_orbits, core, kind)
     lam = core.parts
     for p in gl_orbits:
+        p = as_partition(p)
         lam = union(lam, union(p, p))
     dec = None
-    if kind == "D" and is_very_even(lam):
+    if core.kind == "D" and is_very_even(lam):
         dec = core.decoration
-    return Orbit(kind, levi.ambient(), lam, dec)
+    return Orbit(core.kind, size(lam), lam, dec)
 
 
 @dataclass(frozen=True)
@@ -134,19 +96,19 @@ class InducedOrbit:
     decoration_unknown: bool = False
 
 
-def induce(levi, gl_orbits, core, kind=None):
+def induce(gl_orbits, core):
     """Lusztig-Spaltenstein induction from a Levi, with birationality flag.
 
-    The induced partition is the type collapse of the join of the core with
-    doubled gl rows.  Induction is birational exactly when no collapse is
-    needed, except in type D where a join with all parts even and a single
+    The Levi is read off the orbits as in `saturate`.  The induced partition
+    is the type collapse of the join of the core with doubled gl rows.
+    Induction is birational exactly when no collapse is needed, except in
+    type D where a join with all parts even and a single
     repeated-odd-multiplicity value collapses birationally.
     """
-    kind = kind or core.kind
-    gl_orbits = [as_partition(x) for x in gl_orbits]
-    _check_levi(levi, gl_orbits, core, kind)
+    kind = core.kind
     beta = core.parts
     for p in gl_orbits:
+        p = as_partition(p)
         beta = join(beta, join(p, p))
     beta = as_partition(beta)
     if is_type(beta, kind):
@@ -155,7 +117,7 @@ def induce(levi, gl_orbits, core, kind=None):
         lam = collapse(beta, kind)
         birational, collapsed = kind == "D" and d_exception_by_columns(beta), True
     dec_unknown = kind == "D" and is_very_even(lam)
-    return InducedOrbit(Orbit(kind, levi.ambient(), lam), birational, collapsed, dec_unknown)
+    return InducedOrbit(Orbit(kind, size(lam), lam), birational, collapsed, dec_unknown)
 
 
 def d_exception_by_rows(beta):
@@ -187,8 +149,6 @@ def bvls_dual(orbit):
     divisible by 4 and swapped otherwise.
     """
     p = orbit.parts
-    if orbit.kind == "A":
-        return Orbit("A", orbit.ambient, transpose(p))
     if orbit.kind == "B":
         return Orbit("C", orbit.ambient - 1, collapse(drop_box(transpose(p)), "C"))
     if orbit.kind == "C":
@@ -206,20 +166,8 @@ def bvls_dual(orbit):
 
 
 def is_distinguished(orbit):
-    """No repeated parts (type A: the principal orbit only)."""
-    if orbit.kind == "A":
-        return orbit.parts == (orbit.ambient,) if orbit.ambient else True
+    """No repeated parts."""
     return len(set(orbit.parts)) == len(orbit.parts)
-
-
-def is_even(orbit):
-    """All parts of one parity, so the semisimple element has even eigenvalues."""
-    return len({v % 2 for v in orbit.parts}) <= 1
-
-
-def is_special(orbit):
-    """Fixed point of the square of the duality map."""
-    return bvls_dual(bvls_dual(orbit)) == orbit
 
 
 def parse_orbit(text):
@@ -245,19 +193,18 @@ def format_orbit(orbit):
 
 
 def parse_levi(text):
-    """Parse "gl(4)+gl(1)+so(9)" or "gl(2)+gl(2)'" (primed, type D only)."""
-    s = text.strip()
-    primed = s.endswith("'")
-    if primed:
-        s = s[:-1]
+    """Parse "gl(4)+gl(1)+so(9)" into (gl sizes, residual size, residual kind),
+    the kind None when there is no classical factor."""
     gl, residual, res_kind = [], 0, None
-    for piece in s.split("+"):
+    for piece in text.strip().split("+"):
         piece = piece.strip()
         if not piece.endswith(")") or "(" not in piece:
             raise ValueError("bad Levi factor %r" % piece)
         name, arg = piece[: piece.index("(")], piece[piece.index("(") + 1: -1]
         n = int(arg)
         if name == "gl":
+            if n < 1:
+                raise ValueError("gl sizes must be positive")
             gl.append(n)
         elif name in ("so", "sp"):
             if res_kind is not None:
@@ -266,14 +213,4 @@ def parse_levi(text):
             res_kind = "C" if name == "sp" else ("B" if n % 2 else "D")
         else:
             raise ValueError("unknown Levi factor %r" % name)
-    if primed and res_kind is not None:
-        raise ValueError("primed Levis are gl-only")
-    return LeviShape(tuple(gl), residual, primed), res_kind
-
-
-def format_levi(levi, kind):
-    parts = ["gl(%d)" % a for a in levi.gl]
-    if levi.residual:
-        parts.append(("sp(%d)" if kind == "C" else "so(%d)") % levi.residual)
-    out = "+".join(parts)
-    return out + ("'" if levi.primed else "")
+    return tuple(gl), residual, res_kind

@@ -122,8 +122,6 @@ def lower_covers(p):
 
 def is_type(p, kind):
     """Test the type-B/C/D parity condition (size parity plus multiplicities)."""
-    if kind == "A":
-        return True
     eps = EPSILON[kind]
     if (sum(p) % 2 == 1) != (kind == "B"):
         return False
@@ -144,8 +142,6 @@ def collapse(p, kind):
     Computed by repeatedly moving a box from the last row of the largest
     offending part down to the first row that can absorb it.
     """
-    if kind == "A":
-        return p
     eps = EPSILON[kind]
     if (size(p) % 2 == 1) != (kind == "B"):
         raise ValueError("size/kind mismatch: |p|=%d is not a type %s size" % (size(p), kind))

@@ -171,10 +171,10 @@ def block_decompose(m):
 # saturation of marked data
 
 
-def sat_la(levi, gl_orbits, core, kind=None):
+def sat_la(gl_orbits, core):
     """Saturate a marked partition: its orbit is saturated
     (`orbits.saturate`) and the marks are unchanged."""
-    orbit = saturate(levi, gl_orbits, core.orbit, kind)
+    orbit = saturate(gl_orbits, core.orbit)
     return MarkedPartition(orbit.kind, orbit.parts, core.nu, orbit.decoration)
 
 

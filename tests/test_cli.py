@@ -121,6 +121,15 @@ ERROR_TEXT = {
     ("collapse",): "the following arguments are required: --kind, partition",
     ("verify", "nosuch"): "argument suite: invalid choice: 'nosuch'",
     ("verify", "tables", "--max-rank", "x"): "argument --max-rank: invalid int value: 'x'",
+    # Levi input: the gl orbits and the core must fit the Levi text
+    ("saturate", "gl(4)+so(9)", "[1,1,1];[5,3,1]"): "gl(4) orbit has size 3",
+    ("induce", "gl(4)+so(9)", "[5,3,1]"): "need 1 gl orbits plus a core",
+    ("saturate", "gl(4)+so(9)", "[4];[5,3]"): "partition size 8 does not match ambient 9",
+    ("induce", "gl(0)+so(9)", "[];[5,3,1]"): "gl sizes must be positive",
+    ("induce", "gl(2)+gl(2)'", "[1,1];[1,1];[]", "--kind", "D"): "bad Levi factor \"gl(2)'\"",
+    ("saturate", "gl(2)", "[2];[]"): "a gl-only Levi needs --kind",
+    ("saturate", "gl(2)+sp(4)", "[2];[2,2]", "--kind", "D"):
+        "--kind D does not match the Levi's type-C factor",
 }
 
 
@@ -132,6 +141,17 @@ def test_bad_input_exits_with_one_error_line(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert ERROR_TEXT[argv] in lines[0]
+
+
+@pytest.mark.parametrize("argv", [("table", "g2"), ("verify", "tables")])
+def test_missing_table_file_exits_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(tmp_path / "g2.json") in lines[0]
 
 
 def test_parser_reuse_keeps_no_state(capsys):

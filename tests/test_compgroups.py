@@ -14,7 +14,7 @@ from orbitduality.compgroups import (
 def test_group_data_examples():
     gd = group_data(parse_orbit("C:[4,2,2]"))
     assert gd.eps_values == (4, 2) and gd.a_rank == 2 and gd.a_ad_rank == 1
-    assert gd.upsilon_tilde == frozenset({4}) and gd.s1_nonempty
+    assert gd.s1_nonempty
     gd = group_data(Orbit("B", 7, (7,)))
     assert gd.a_rank == 0
     gd = group_data(parse_orbit("C:[6,4,2]"))

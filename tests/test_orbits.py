@@ -2,9 +2,9 @@ import pytest
 
 from orbitduality.partitions import dominates, enumerate_partitions
 from orbitduality.orbits import (
-    LeviShape, Orbit, bvls_dual, d_exception_by_columns, d_exception_by_rows,
-    enumerate_orbits, format_levi, format_orbit, induce, is_distinguished,
-    is_even, is_special, parse_levi, parse_orbit, saturate,
+    Orbit, bvls_dual, d_exception_by_columns, d_exception_by_rows,
+    enumerate_orbits, format_orbit, induce, is_distinguished, parse_levi,
+    parse_orbit, saturate,
 )
 
 
@@ -23,28 +23,32 @@ def test_orbit_validation():
         Orbit("C", 4, (3, 1))
     with pytest.raises(ValueError):
         Orbit("B", 3, (3,), "I")
+    with pytest.raises(ValueError, match="unknown kind 'A'"):
+        Orbit("A", 3, (3,))
 
 
 def test_saturate():
-    out = saturate(LeviShape((4,), 9), [(4,)], parse_orbit("B:[5,3,1]"))
+    out = saturate([(4,)], parse_orbit("B:[5,3,1]"))
     assert out.parts == (5, 4, 4, 3, 1)
-    out = saturate(LeviShape((4,), 9), [(1, 1, 1, 1)], parse_orbit("B:[5,3,1]"))
+    assert (out.kind, out.ambient) == ("B", 17)
+    out = saturate([(1, 1, 1, 1)], parse_orbit("B:[5,3,1]"))
     assert out.parts == (5, 3) + (1,) * 9
     core = parse_orbit("D:[2,2]I")
-    out = saturate(LeviShape((2,), 4), [(2,)], core)
+    out = saturate([(2,)], core)
     assert out.parts == (2, 2, 2, 2) and out.decoration == "I"
+    assert (out.kind, out.ambient) == ("D", 8)
 
 
 def test_induce_examples():
-    res = induce(LeviShape((1, 3, 4)), [(1,), (1, 1, 1), (1, 1, 1, 1)],
-                 Orbit("D", 0, ()), kind="D")
+    res = induce([(1,), (1, 1, 1), (1, 1, 1, 1)], Orbit("D", 0, ()))
     assert res.orbit.parts == (5, 5, 3, 3) and not res.birational
-    res = induce(LeviShape((4,), 8), [(1, 1, 1, 1)], parse_orbit("C:[2,2,2,1,1]"))
+    assert (res.orbit.kind, res.orbit.ambient) == ("D", 16)
+    res = induce([(1, 1, 1, 1)], parse_orbit("C:[2,2,2,1,1]"))
     assert res.orbit.parts == (4, 4, 4, 2, 2)
     assert not res.birational and res.collapsed
     # principal orbit induced from zero in the torus
     n = 4
-    res = induce(LeviShape((1,) * n), [(1,)] * n, Orbit("C", 0, ()), kind="C")
+    res = induce([(1,)] * n, Orbit("C", 0, ()))
     assert res.orbit.parts == (2 * n,) and res.birational
 
 
@@ -76,14 +80,13 @@ def test_bvls_decorations():
 
 def test_predicates():
     assert is_distinguished(parse_orbit("B:[5,3,1]"))
-    assert is_even(parse_orbit("C:[4,2,2]"))
-    assert not is_even(parse_orbit("C:[2,1,1]"))
-    # the lone non-special orbit of so(5): the duality square moves it
-    assert not is_special(parse_orbit("B:[2,2,1]"))
+    assert not is_distinguished(parse_orbit("C:[4,2,2]"))
+    # special orbits are the fixed points of the duality square; the lone
+    # non-special orbit of so(5) is moved by it
     assert bvls_dual(bvls_dual(parse_orbit("B:[2,2,1]"))).parts == (3, 1, 1)
-    assert is_special(parse_orbit("B:[3,1,1]"))
-    o = parse_orbit("B:[5,3,1]")
-    assert is_distinguished(o) and is_even(o) and is_special(o)
+    for text in ("B:[3,1,1]", "B:[5,3,1]"):
+        o = parse_orbit(text)
+        assert bvls_dual(bvls_dual(o)) == o
 
 
 def test_closure_is_dominance():
@@ -93,13 +96,12 @@ def test_closure_is_dominance():
 
 
 def test_levi_parse_format():
-    levi, kind = parse_levi("gl(4)+gl(1)+so(9)")
-    assert levi.gl == (4, 1) and levi.residual == 9 and kind == "B"
-    assert format_levi(levi, kind) == "gl(4)+gl(1)+so(9)"
-    levi, kind = parse_levi("gl(2)+gl(2)'")
-    assert levi.primed and kind is None
-    with pytest.raises(ValueError):
-        parse_levi("gl(2)+so(3)+so(5)")
+    assert parse_levi("gl(4)+gl(1)+so(9)") == ((4, 1), 9, "B")
+    assert parse_levi("gl(2)+sp(4)") == ((2,), 4, "C")
+    assert parse_levi("gl(2)+gl(2)") == ((2, 2), 0, None)
+    for text in ("gl(2)+so(3)+so(5)", "gl(0)+so(9)", "gl(2)+gl(2)'", "gl(2)+su(2)"):
+        with pytest.raises(ValueError):
+            parse_levi(text)
 
 
 def test_orbit_text_roundtrip():
@@ -109,6 +111,6 @@ def test_orbit_text_roundtrip():
 
 def test_trivial_levi_identities():
     core = parse_orbit("B:[5,3,1]")
-    assert saturate(LeviShape((), 9), [], core) == core
-    res = induce(LeviShape((), 9), [], core)
+    assert saturate([], core) == core
+    res = induce([], core)
     assert res.orbit == core and res.birational

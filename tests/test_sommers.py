@@ -1,6 +1,6 @@
 import pytest
 
-from orbitduality.orbits import LeviShape, bvls_dual, parse_orbit
+from orbitduality.orbits import bvls_dual, parse_orbit
 from orbitduality.compgroups import MarkedPartition, parse_marked
 from orbitduality.sommers import (
     block_decompose, sat_inverse, sat_la, sommers_dual,
@@ -53,10 +53,10 @@ def test_block_conditions_hold():
 
 def test_sat_la():
     core = parse_marked("B:<[5,1]>[5,3,1]")
-    out = sat_la(LeviShape((4,), 9), [(4,)], core)
-    assert out.lam == (5, 4, 4, 3, 1) and out.nu == (5, 1)
-    out = sat_la(LeviShape((1,), 2), [(1,)], MarkedPartition("C", (2,), (2,)))
-    assert out.lam == (2, 1, 1) and out.nu == (2,)
+    out = sat_la([(4,)], core)
+    assert out.lam == (5, 4, 4, 3, 1) and out.nu == (5, 1) and out.kind == "B"
+    out = sat_la([(1,)], MarkedPartition("C", (2,), (2,)))
+    assert out.lam == (2, 1, 1) and out.nu == (2,) and out.kind == "C"
 
 
 def test_sat_inverse():
@@ -74,10 +74,9 @@ def test_sat_round_trips():
             gl, core = sat_inverse(m)
             rebuilt = core
             for a in sorted(gl, reverse=True):
-                from orbitduality.partitions import size
-                rebuilt = sat_la(LeviShape((a,), size(rebuilt.lam)), [(a,)],
-                                 rebuilt, kind=kind)
+                rebuilt = sat_la([(a,)], rebuilt)
             assert rebuilt.lam == m.lam and rebuilt.nu == m.nu
+            assert rebuilt.kind == kind
 
 
 def test_non_reduced_rejected():
