@@ -344,8 +344,9 @@ def _classical_abar_rank(type_label, orbit_strings):
     """Sum of canonical-quotient ranks over the factors of a classical
     pseudo-Levi, from the tabulated factor orbits; type-A factors are trivial."""
     kinds = _factor_types(type_label)
-    if len(kinds) != len(orbit_strings) and len(kinds) == 1:
-        orbit_strings = [orbit_strings[0]]
+    if len(kinds) != len(orbit_strings):
+        raise ValueError("%s has %d factors but %d orbits"
+                         % (type_label, len(kinds), len(orbit_strings)))
     total = 0
     for kind_label, orb in zip(kinds, orbit_strings):
         letter, rank = kind_label[0], int(kind_label[1:])

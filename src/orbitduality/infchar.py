@@ -14,10 +14,6 @@ from .compgroups import MARK_PARITY, canonical_split
 from .sommers import DUAL_KIND, sat_inverse
 
 
-def rank(kind, ambient):
-    return ambient // 2
-
-
 @dataclass(frozen=True)
 class Weight:
     """A vector in the weight space, with doubled integer coordinates."""
@@ -26,9 +22,6 @@ class Weight:
 
     def __post_init__(self):
         object.__setattr__(self, "halves", tuple(int(h) for h in self.halves))
-
-    def __len__(self):
-        return len(self.halves)
 
     def __str__(self):
         return format_weight(self)
@@ -47,15 +40,13 @@ def canonical(w):
     return Weight(w.kind, body), sign
 
 
-def rho_plus(q, length=None):
+def rho_plus(q, length):
     """Doubled positive string entries of q: each part v contributes
     v-1, v-3, ..., down to 1 or 2; padded with zeros to the given length."""
     out = []
     for v in q:
         out.extend(range(v - 1, 0, -2))
     out.sort(reverse=True)
-    if length is None:
-        length = size(q) // 2
     if len(out) > length:
         raise ValueError("rho_plus of %s needs %d slots, given %d"
                          % (q, len(out), length))
@@ -110,12 +101,10 @@ def spread_pairs(y):
 def gamma_rigid_cover(orbit):
     """Infinitesimal character attached to a birationally rigid cover of the
     orbit, from the columns of its partition."""
-    if orbit.kind not in ("B", "C", "D"):
-        raise ValueError("classical types B, C, D only")
     cols = transpose(orbit.parts)
     x, y = split_by_multiplicity(cols)
     parts = union(spread_pairs(y), f_transform(x, EPSILON[orbit.kind]))
-    return Weight(orbit.kind, rho_plus(parts, rank(orbit.kind, orbit.ambient)))
+    return Weight(orbit.kind, rho_plus(parts, orbit.ambient // 2))
 
 
 def _core_split(m):

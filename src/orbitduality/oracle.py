@@ -110,33 +110,21 @@ def dominant_shell(n, bound4):
 
 @dataclass(frozen=True)
 class Certificate:
+    """`shell_minimum` is (least norm times 4, dominant minimisers) of the
+    admissible points in the candidate's shell; (None, ()) when it holds
+    none."""
     datum: MarkedPartition
     candidate: Weight
     shell_size: int
-    member: bool
-    smaller_members: tuple
-    equal_members: tuple
-
-    @property
-    def unique_min_orbit(self):
-        return not self.equal_members
+    shell_minimum: tuple
 
     @property
     def passed(self):
-        return self.member and not self.smaller_members and self.unique_min_orbit
-
-    @property
-    def shell_minimum(self):
-        """(least norm times 4, dominant minimisers) of the admissible points
-        in the shell; (None, ()) when the shell holds none."""
-        members = self.smaller_members + self.equal_members
-        if self.member:
-            members += (self.candidate.halves,)
-        if not members:
-            return None, ()
-        norms = {pt: sum(h * h for h in pt) for pt in members}
-        best = min(norms.values())
-        return best, tuple(sorted((pt for pt, n in norms.items() if n == best), reverse=True))
+        """The candidate is the one admissible point of least norm.  It is
+        dominant and on the shell's boundary, so the shell's minimum says
+        whether it is a member as well."""
+        halves = self.candidate.halves
+        return self.shell_minimum == (sum(h * h for h in halves), (halves,))
 
 
 def verify_min(m):
@@ -147,20 +135,18 @@ def verify_min(m):
         raise ValueError("certification applies to distinguished data")
     n = size(m.lam) // 2
     cand = gamma_la(m)
-    bound4 = sum(h * h for h in cand.halves)
     test = membership_tester(m)
-    member = test(cand.halves)
-    shell = dominant_shell(n, bound4)
-    smaller, equal = [], []
+    shell = dominant_shell(n, sum(h * h for h in cand.halves))
+    best, found = None, []
     for pt in shell:
         if not test(pt):
             continue
         norm4 = sum(h * h for h in pt)
-        if norm4 < bound4:
-            smaller.append(pt)
-        elif norm4 == bound4 and pt != cand.halves:
-            equal.append(pt)
-    return Certificate(m, cand, len(shell), member, tuple(smaller), tuple(equal))
+        if best is None or norm4 < best:
+            best, found = norm4, []
+        if norm4 == best:
+            found.append(pt)
+    return Certificate(m, cand, len(shell), (best, tuple(sorted(found, reverse=True))))
 
 
 def signatures(n, parity):

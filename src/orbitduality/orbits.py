@@ -120,20 +120,10 @@ def induce(gl_orbits, core):
     return InducedOrbit(Orbit(kind, size(lam), lam), birational, collapsed, dec_unknown)
 
 
-def d_exception_by_rows(beta):
-    """Row form of the type-D birational-collapse test: all parts even with
-    exactly one distinct value of odd multiplicity, necessarily the smallest.
-    Strictly narrower than the column form, which is the one used by induce.
-    """
-    if any(v % 2 for v in beta):
-        return False
-    odd_mult = [v for v in set(beta) if beta.count(v) % 2 == 1]
-    return len(odd_mult) == 1 and odd_mult[0] == beta[-1]
-
-
 def d_exception_by_columns(beta):
-    """Column form of the type-D birational-collapse test: the join consists
-    of pairs of equal columns with exactly one distinct odd column length."""
+    """The type-D birational-collapse test, read off the columns: the join
+    consists of pairs of equal columns with exactly one distinct odd column
+    length."""
     cols = transpose(beta)
     vals = sorted(set(cols))
     if any(cols.count(v) % 2 for v in vals):

@@ -214,9 +214,8 @@ def uparrow2(q):
     return as_partition((q[0] + 1, max(q2 - 1, 0)))
 
 
-def enumerate_partitions(n, max_part=None):
-    """Yield all partitions of n (largest part first), in reverse lex order,
-    with no part above max_part when it is given.
+def enumerate_partitions(n):
+    """Yield all partitions of n (largest part first), in reverse lex order.
 
     Iterative (algorithm ZS1 of Zoghbi and Stojmenovic, 1998): the next
     partition lowers the last part above 1 by one and refills the units it
@@ -227,18 +226,8 @@ def enumerate_partitions(n, max_part=None):
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(n, max_part)
-    if top < 1:
-        return
-    q, r = divmod(n, top)
-    x = [top] * q + [1] * (n - q)
-    m = q
-    h = q - 1 if top > 1 else -1
-    if r:
-        x[q] = r
-        m += 1
-        if r > 1:
-            h = q
+    x = [n] + [1] * (n - 1)
+    m, h = 1, 0 if n > 1 else -1
     while True:
         yield tuple(x[:m])
         if h < 0:

@@ -77,11 +77,11 @@ def iter_special_distinguished(kind, n):
             yield m
 
 
-def _data(iterate, max_rank, kinds=("B", "C", "D")):
+def _data(iterate, max_rank):
     """Every datum `iterate(kind, n)` yields, over the kinds and their sizes
     of rank at most max_rank, as a list."""
-    sizes = type_sizes(max_rank)
-    return [m for kind in kinds for n in sizes[kind] for m in iterate(kind, n)]
+    return [m for kind, sizes in type_sizes(max_rank).items() for n in sizes
+            for m in iterate(kind, n)]
 
 
 def _failure(check, datum, **detail):
@@ -293,12 +293,13 @@ def verify_rigidity(max_rank=5):
     return _report("rigidity", len(data), failures)
 
 
-def verify_gamma_group(max_rank=5, kinds=("B", "C", "D")):
+def verify_gamma_group(max_rank=5):
     """On special data the two Galois-group computations agree rank for rank,
-    the per-step criteria are equivalent, and for unmarked data the dual
-    cover degree is the canonical-quotient order."""
+    the per-step criteria are equivalent and agree with the birationality of
+    the induction the chain computes, and for unmarked data the dual cover
+    degree is the canonical-quotient order."""
     failures = []
-    data = _data(iter_special, max_rank, kinds)
+    data = _data(iter_special, max_rank)
     for m in data:
         core_dual, steps = saturation_chain(m)
         r1, r2 = chain_rank(core_dual, steps), abar_r_rank(m)
@@ -308,6 +309,10 @@ def verify_gamma_group(max_rank=5, kinds=("B", "C", "D")):
             flags = saturation_step_analysis(step.a, step.datum)
             if flags.abar_changes == flags.bind_birational:
                 failures.append(_failure("step", m, a=step.a, step_datum=str(step.datum)))
+            if flags.bind_birational != step.induced.birational:
+                failures.append(_failure("step birationality", m, a=step.a,
+                                         step_datum=str(step.datum),
+                                         induced_birational=step.induced.birational))
         if not m.nu:
             degree = chain_degree(core_dual, steps)
             if degree != 2 ** abar_rank(m.lam, m.kind):

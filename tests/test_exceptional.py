@@ -1,10 +1,12 @@
 import json
 import math
+import shutil
 from itertools import product
 
 import pytest
 
 from orbitduality import exceptional as ex
+from orbitduality.cli import main
 
 
 def test_self_check():
@@ -252,3 +254,20 @@ def test_orbit_string_expansion():
     assert ex._expand_orbit_string("[4^2,2^2]^I") == ((4, 4, 2, 2), "I")
     assert ex._expand_orbit_string("[5,3,1]") == ((5, 3, 1), None)
     assert ex._expand_orbit_string("{0}") is None
+
+
+@pytest.mark.parametrize("r_orbits", [[], ["[3]", "[3]"]])
+def test_factor_and_orbit_counts_must_match(tmp_path, monkeypatch, capsys, r_orbits):
+    """A Galois-table row whose pseudo-Levi has one factor (A2) but another
+    number of orbits is an `abar_parse` failure, not a crash or a pass."""
+    shutil.copytree(ex.tables_dir(), tmp_path, dirs_exist_ok=True)
+    table = ex.load_gamma_table("G2")
+    [row] = [r for r in table["rows"] if r["r"] == "A2"]
+    row["r_orbits"] = r_orbits
+    (tmp_path / "gamma_g2.json").write_text(json.dumps(table))
+    monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
+    report = ex.verify_tables("G2")
+    assert report["failures"] == [("abar_parse", "G2(a1)", "A2",
+                                   "A2 has 1 factors but %d orbits" % len(r_orbits))]
+    assert main(["verify", "tables"]) == 1
+    assert "tables G2 abar_parse G2(a1)" in capsys.readouterr().out

@@ -47,6 +47,25 @@ def test_verify_min_examples():
     assert cert.shell_minimum == signature_minimum(cert.datum) == (24, ((4, 2, 2, 0),))
 
 
+def test_verify_min_needs_the_candidate_alone_at_the_least_norm(monkeypatch):
+    # the certificate fails when the candidate is not admissible, and when a
+    # second admissible point has the candidate's norm
+    m = parse_marked("B:<[5,1]>[5,3,1]")
+    cand, rival = (5, 3, 1, 1), (4, 4, 2, 0)
+    real = membership_tester(m)
+    assert real(cand) and not real(rival)
+    assert sum(h * h for h in rival) == sum(h * h for h in cand)
+    monkeypatch.setattr(oracle, "membership_tester",
+                        lambda datum: lambda pt: pt != cand and real(pt))
+    cert = verify_min(m)
+    assert cert.candidate.halves == cand and not cert.passed
+    assert cand not in cert.shell_minimum[1]
+    monkeypatch.setattr(oracle, "membership_tester",
+                        lambda datum: lambda pt: pt == rival or real(pt))
+    cert = verify_min(m)
+    assert cert.shell_minimum == (36, (cand, rival)) and not cert.passed
+
+
 def test_verify_min_requires_distinguished():
     with pytest.raises(ValueError):
         verify_min(parse_marked("B:<[5,1]>[5,4,4,3,1]"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -179,3 +180,21 @@ def test_duality_rejects_a_reversed_cover_pair(monkeypatch):
     assert {"check": "order", "datum": str(a), "detail": {"below": str(b)}} in report["failures"]
     # size 14 is past the reference over all pairs
     assert not [f for f in report["failures"] if f["check"] == "order by pairs"]
+
+
+def test_gamma_group_rejects_a_flipped_induction_step(monkeypatch):
+    real = verify.saturation_chain
+    target = next(m for m in verify._data(verify.iter_special, 3) if real(m)[1])
+
+    def flipped(m):
+        core_dual, steps = real(m)
+        if m == target:
+            induced = steps[0].induced
+            induced = dataclasses.replace(induced, birational=not induced.birational)
+            steps = [dataclasses.replace(steps[0], induced=induced)] + steps[1:]
+        return core_dual, steps
+
+    monkeypatch.setattr(verify, "saturation_chain", flipped)
+    report = verify.verify_gamma_group(max_rank=3)
+    assert {f["datum"] for f in report["failures"]} == {str(target)}
+    assert "step birationality" in {f["check"] for f in report["failures"]}
