@@ -42,12 +42,31 @@ def test_criterion_4_rigidity():
     report("4", verify.verify_rigidity(max_rank=5))
 
 
-def test_criterion_5_galois_ranks():
+@pytest.fixture(scope="module")
+def gamma_group_report():
+    return verify.verify_gamma_group(max_rank=5)
+
+
+def test_criterion_5_galois_ranks(gamma_group_report):
     # both Galois-rank routes agree on special data; per-step criteria are
     # equivalent and match the birationality of each induction step of the
     # chain; unmarked dual covers have the canonical-quotient degree.  Types
     # B and C are the stated gate; type D goes beyond it
-    report("5", verify.verify_gamma_group(max_rank=5))
+    report("5", gamma_group_report)
+
+
+def test_criterion_5_galois_ranks_type_d(gamma_group_report):
+    # beyond the stated gate: the same run covers every special datum of type
+    # D and none of them fails
+    type_d = [m for m in verify._data(verify.iter_special, 5) if m.kind == "D"]
+    failures = [f for f in gamma_group_report["failures"]
+                if f["datum"].startswith("D:")]
+    print("criterion 5d [%s, type D]: %s (%d checks)"
+          % (gamma_group_report["name"], "FAIL" if failures else "PASS",
+             len(type_d)))
+    assert type_d
+    assert gamma_group_report["checked"] == len(verify._data(verify.iter_special, 5))
+    assert not failures, failures[:10]
 
 
 def test_criterion_6_richardson_vs_saturation():
