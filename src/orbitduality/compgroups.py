@@ -10,7 +10,7 @@ class in Abar) that drive the duality maps.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .partitions import (
     EPSILON,
@@ -132,48 +132,6 @@ def kernel_subgroup(lam, kind):
     return span(gens)
 
 
-def _row_pair(lam, i, j):
-    """Product of the involutions of rows i, j (1-based; out-of-range rows
-    contribute the identity, equal values cancel)."""
-    s = frozenset()
-    for k in (i, j):
-        if 1 <= k <= len(lam):
-            s ^= frozenset({lam[k - 1]})
-    return s
-
-
-def kernel_pairs(lam, kind):
-    """The kernel N for an orbit carrying a distinguished marking, generated
-    by products of consecutive rows: (2i, 2i+1) in type B, (2i-1, 2i) in C/D."""
-    r = len(lam)
-    gens = []
-    if kind == "B":
-        gens = [_row_pair(lam, 2 * i, 2 * i + 1) for i in range(1, (r + 1) // 2 + 1)]
-    else:
-        gens = [_row_pair(lam, 2 * i - 1, 2 * i) for i in range(1, r // 2 + 2)]
-    return span(g for g in gens if g)
-
-
-def theta_basis(lam, kind):
-    """Row products splitting Abar(O): (2i-1, 2i+1) in B, (2i, 2i+2) in C/D."""
-    r = len(lam)
-    if kind == "B":
-        return [_row_pair(lam, 2 * i - 1, 2 * i + 1) for i in range(1, (r - 1) // 2 + 1)]
-    if kind == "C":
-        return [_row_pair(lam, 2 * i, 2 * i + 2) for i in range(1, r // 2 + 1)]
-    return [_row_pair(lam, 2 * i, 2 * i + 2) for i in range(1, r // 2)]
-
-
-def theta_tilde_basis(lam, kind):
-    """Alternative lifts of the Abar basis: (2i-1, 2i) in B, (2i, 2i+1) in C/D."""
-    r = len(lam)
-    if kind == "B":
-        return [_row_pair(lam, 2 * i - 1, 2 * i) for i in range(1, (r - 1) // 2 + 1)]
-    if kind == "C":
-        return [_row_pair(lam, 2 * i, 2 * i + 1) for i in range(1, r // 2 + 1)]
-    return [_row_pair(lam, 2 * i, 2 * i + 1) for i in range(1, r // 2)]
-
-
 @dataclass(frozen=True)
 class MarkedPartition:
     """A type-`kind` partition with a multiplicity-free set of parts marked.
@@ -261,10 +219,6 @@ def is_distinguished_marked(m):
     return all(eta.count(v) <= 1 for v in set(eta))
 
 
-def marking_element(nu):
-    return frozenset(set(nu))
-
-
 def all_markings(lam, kind):
     """Every admissible marking: subsets of the distinct non-eps values, with
     an even count in types B and D."""
@@ -272,11 +226,11 @@ def all_markings(lam, kind):
 
 
 def equivalent_markings(m):
-    """All markings of lam in the same Abar-class as m (the lift set)."""
-    n = kernel_subgroup(m.lam, m.kind)
-    target = marking_element(m.nu)
-    return [nu for nu in all_markings(m.lam, m.kind)
-            if (marking_element(nu) ^ target) in n]
+    """All markings of lam in the same Abar-class as m (the lift set): m's
+    marks times each element of the kernel N.  N lies in A(O), so in types B
+    and D each product keeps an even number of marks."""
+    nu = frozenset(m.nu)
+    return [tuple(sorted(nu ^ g, reverse=True)) for g in kernel_subgroup(m.lam, m.kind)]
 
 
 def _gamma_norm4(nu, eta):
@@ -288,38 +242,13 @@ def _gamma_norm4(nu, eta):
 
 
 def canonical_split(m):
-    """The minimal-weight marking (nu0, eta0) in the class of a distinguished
-    marking: solve for the class in the theta basis and transport the solution
-    through the theta-tilde lifts, taking the norm-minimal outcome when the
-    theta images are dependent.
-    """
+    """The split (nu0, eta0) of a distinguished marking: the marking of least
+    weight norm in its Abar-class, with the unmarked rows it leaves."""
     if not is_distinguished_marked(m):
         raise ValueError("requires distinguished datum")
-    lam, kind = m.lam, m.kind
-    thetas = theta_basis(lam, kind)
-    tildes = theta_tilde_basis(lam, kind)
-    n = kernel_pairs(lam, kind)
-    target = marking_element(m.nu)
-    best = None
-    for bits in product((0, 1), repeat=len(thetas)):
-        acc = frozenset()
-        for b, t in zip(bits, thetas):
-            if b:
-                acc ^= t
-        if (acc ^ target) not in n:
-            continue
-        c0 = frozenset()
-        for b, t in zip(bits, tildes):
-            if b:
-                c0 ^= t
-        nu0 = tuple(sorted(c0, reverse=True))
-        eta0 = multiset_difference(lam, nu0)
-        key = _gamma_norm4(nu0, eta0)
-        if best is None or key < best[0]:
-            best = (key, nu0, eta0)
-    if best is None:
-        raise ValueError("marking class not reachable from the theta basis")
-    return best[1], best[2]
+    nu0 = min(equivalent_markings(m),
+              key=lambda nu: _gamma_norm4(nu, multiset_difference(m.lam, nu)))
+    return nu0, multiset_difference(m.lam, nu0)
 
 
 def parse_marked(text):

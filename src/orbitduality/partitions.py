@@ -223,6 +223,8 @@ def enumerate_partitions(n):
     lowered one.  x holds the current partition in its first m entries and
     1s after them; h is the index of its last part above 1.
     """
+    if n < 0:
+        raise ValueError("partitions are of a nonnegative size")
     if n == 0:
         yield ()
         return

@@ -56,7 +56,8 @@ def _dual_partition_distinguished(m):
 
 
 def _dual_partition_blocks(m):
-    blocks = block_decompose(m)
+    # the empty datum has no blocks; it is its own unmarked block
+    blocks = block_decompose(m) or [m]
     duals = [_dual_partition_general(b.kind, b.nu, b.eta) for b in blocks]
     if m.kind == "C":
         duals = [drop_column_box(d) for d in duals[:-1]] + [duals[-1]]

@@ -6,12 +6,15 @@ or a dropped keyword argument fails here too.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import json
 import os
 
 from orbitduality import verify
+from orbitduality.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -37,12 +40,13 @@ def _workloads_tree():
         return ast.parse(fh.read())
 
 
-def _sweeps():
-    """The SWEEPS literal of perfbench/workloads.py, read without running it."""
+def _literal(name):
+    """The literal bound to `name` in perfbench/workloads.py, read without
+    running it."""
     for node in _workloads_tree().body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SWEEPS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/workloads.py defines no SWEEPS")
+    raise AssertionError("perfbench/workloads.py defines no %s" % name)
 
 
 def test_layer_map_names_resolve_to_callables():
@@ -63,7 +67,20 @@ def test_workload_imports_resolve():
 
 
 def test_sweep_arguments_bind_to_their_suites():
-    plans = [entry for plan in _sweeps().values() for entry in plan]
+    plans = [entry for plan in _literal("SWEEPS").values() for entry in plan]
     assert plans
     for suite, kwargs, _ in plans:
         inspect.signature(getattr(verify, suite)).bind(**kwargs)
+
+
+def test_malformed_queries_exit_with_one_error_line():
+    # the cli-queries workload counts any other outcome as a failed query
+    queries = _literal("MALFORMED")
+    assert queries
+    for argv in queries:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--json", *argv])
+        lines = err.getvalue().splitlines()
+        assert (code, out.getvalue(), len(lines)) == (1, "", 1), argv
+        assert lines[0].startswith("error:"), argv

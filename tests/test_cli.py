@@ -37,6 +37,11 @@ def test_dual_routes_agree(capsys):
     assert outs == {"C:[2,2,2,1,1]"}
 
 
+def test_blocks_route_on_the_empty_type_c_datum(capsys):
+    code, out = run(capsys, "sommers-dual", "C:<[]>[]", "--route", "blocks")
+    assert code == 0 and out == "B:[1]"
+
+
 def test_induce_saturate(capsys):
     code, out = run(capsys, "induce", "gl(4)+sp(8)", "[1,1,1,1];[2,2,2,1,1]")
     assert code == 0 and out == "C:[4,4,4,2,2] birational=False"

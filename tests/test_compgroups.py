@@ -2,13 +2,14 @@ import pytest
 
 from orbitduality.partitions import EPSILON, enumerate_type
 from orbitduality.orbits import Orbit, parse_orbit
+from orbitduality import compgroups
 from orbitduality.compgroups import (
     MarkedPartition, abar_rank, all_markings, a_group_elements,
     canonical_split, equivalent_markings, format_marked, group_data,
-    is_distinguished_marked, is_reduced, is_special_marked, kernel_pairs,
-    kernel_subgroup, markable_parts, marking_element, multiset_difference,
-    parse_marked, span, theta_basis, theta_tilde_basis,
+    is_distinguished_marked, is_reduced, is_special_marked,
+    kernel_subgroup, markable_parts, multiset_difference, parse_marked, span,
 )
+from orbitduality.verify import type_sizes, verify_minimality
 
 
 def test_group_data_examples():
@@ -44,20 +45,6 @@ def test_kernel_quotient_order():
             for lam in enumerate_type(kind, n):
                 order = 2 ** group_data(Orbit(kind, n, lam)).a_rank
                 assert order // len(kernel_subgroup(lam, kind)) == 2 ** abar_rank(lam, kind)
-
-
-def test_kernel_pairs_agree_on_distinguished_support():
-    for kind, sizes in (("B", (3, 5, 7, 9)), ("C", (2, 4, 6, 8)), ("D", (4, 6, 8))):
-        for n in sizes:
-            for lam in enumerate_type(kind, n):
-                if any(v % 2 == EPSILON[kind] for v in lam):
-                    continue
-                if any(lam.count(v) > 2 for v in set(lam)):
-                    continue
-                if not all(v in markable_parts(lam, kind)
-                           for v in set(lam) if lam.count(v) == 2):
-                    continue
-                assert kernel_pairs(lam, kind) == kernel_subgroup(lam, kind), (kind, lam)
 
 
 def test_classify_marked():
@@ -125,6 +112,51 @@ def test_lifts():
     assert equivalent_markings(m2) == [(2,)]
 
 
+def _markings(max_rank):
+    for kind, sizes in type_sizes(max_rank).items():
+        for n in sizes:
+            for lam in enumerate_type(kind, n):
+                for nu in all_markings(lam, kind):
+                    yield MarkedPartition(kind, lam, nu)
+
+
+def test_lifts_are_the_kernel_coset():
+    # the class built from N equals the markings whose support differs from
+    # m's by an element of N
+    checked = 0
+    for m in _markings(6):
+        kernel = kernel_subgroup(m.lam, m.kind)
+        filtered = [nu for nu in all_markings(m.lam, m.kind)
+                    if frozenset(nu) ^ frozenset(m.nu) in kernel]
+        lifts = equivalent_markings(m)
+        assert len(set(lifts)) == len(lifts) and sorted(lifts) == sorted(filtered), m
+        checked += 1
+    assert checked > 100
+
+
+def test_canonical_split_is_the_unique_least_norm_lift():
+    checked = 0
+    for m in _markings(8):
+        if not is_distinguished_marked(m):
+            continue
+        norms = sorted((compgroups._gamma_norm4(nu, multiset_difference(m.lam, nu)), nu)
+                       for nu in equivalent_markings(m))
+        assert len(norms) == 1 or norms[0][0] < norms[1][0], m
+        assert canonical_split(m) == (norms[0][1], multiset_difference(m.lam, norms[0][1]))
+        checked += 1
+    assert checked > 100
+
+
+def test_minimality_catches_a_wrong_split(monkeypatch):
+    # the largest-norm lift gives a weight above the least norm of the
+    # admissible set, so the signature route must fail
+    norm4 = compgroups._gamma_norm4
+    monkeypatch.setattr(compgroups, "_gamma_norm4", lambda nu, eta: -norm4(nu, eta))
+    report = verify_minimality(max_rank=3, jobs=1)
+    assert not report["passed"]
+    assert {f["check"] for f in report["failures"]} >= {"signature"}
+
+
 def test_lift_classes_partition_markings():
     for kind, sizes in (("B", (5, 7)), ("C", (4, 6)), ("D", (4, 6))):
         for n in sizes:
@@ -133,18 +165,9 @@ def test_lift_classes_partition_markings():
                 kernel = kernel_subgroup(lam, kind)
                 classes = {}
                 for nu in nmarks:
-                    key = frozenset(marking_element(nu) ^ g for g in kernel)
+                    key = frozenset(frozenset(nu) ^ g for g in kernel)
                     classes.setdefault(key, []).append(nu)
                 assert len({len(v) for v in classes.values()}) == 1
-
-
-def test_theta_bases_span():
-    lam = (5, 3, 1)
-    assert theta_basis(lam, "B") == [frozenset({5, 1})]
-    assert theta_tilde_basis(lam, "B") == [frozenset({5, 3})]
-    lam = (6, 4, 2)
-    assert theta_basis(lam, "C") == [frozenset({4})]
-    assert theta_tilde_basis(lam, "C") == [frozenset({4, 2})]
 
 
 def test_marked_text_roundtrip():

@@ -68,6 +68,13 @@ def test_enumerate_partitions_matches_the_reference():
         assert list(enumerate_partitions(n)) == list(reference_enumerate_partitions(n))
 
 
+def test_negative_size_is_rejected():
+    with pytest.raises(ValueError, match="nonnegative size"):
+        list(enumerate_partitions(-3))
+    with pytest.raises(ValueError, match="nonnegative size"):
+        list(enumerate_type("B", -3))
+
+
 def test_as_partition_matches_the_reference():
     for parts in AS_PARTITION_GRID:
         assert outcome(as_partition, parts) == outcome(reference_as_partition, parts), parts

@@ -15,7 +15,9 @@ def test_dual_examples():
 
 
 def test_route_agreement_examples():
-    for text in ("B:<[5,1]>[5,3,1]", "C:<[2]>[2,2]", "B:<[]>[5,3,1]"):
+    # the empty type-C datum has no blocks
+    for text in ("B:<[5,1]>[5,3,1]", "C:<[2]>[2,2]", "B:<[]>[5,3,1]",
+                 "C:<[]>[]", "D:<[]>[]", "B:<[]>[1]"):
         m = parse_marked(text)
         general = sommers_dual(m)
         assert sommers_dual(m, "blocks") == general
