@@ -64,12 +64,24 @@ def split_classes(kind, halves):
 
 def membership_tester(m):
     """A fast membership test for the admissible-weight set of a distinguished
-    marked datum, closed over its precomputed lift markings."""
+    marked datum, closed over its precomputed lift markings.  The Richardson
+    orbit of each side vector is computed once per tester: many points share
+    a side."""
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
     lam, kind = m.lam, m.kind
     k1, k2 = PSEUDO_LEVI[kind]
     lifts = [(nu, multiset_difference(lam, nu)) for nu in equivalent_markings(m)]
+    orbits = {}
+
+    def orbit(k, ambient, side):
+        key = (k, ambient, side)
+        if key not in orbits:
+            try:
+                orbits[key] = richardson_zero(k, ambient, side).parts
+            except ValueError:
+                orbits[key] = None
+        return orbits[key]
 
     def test(halves):
         side1, side2 = split_classes(kind, halves)
@@ -78,12 +90,9 @@ def membership_tester(m):
                 continue
             if 2 * len(side2) + (size(eta) % 2) != size(eta):
                 continue
-            try:
-                o1 = richardson_zero(k1, size(nu), side1) if size(nu) else None
-                o2 = richardson_zero(k2, size(eta), side2)
-            except ValueError:
+            if size(nu) and orbit(k1, size(nu), side1) != nu:
                 continue
-            if (o1 is None or o1.parts == nu) and o2.parts == eta:
+            if orbit(k2, size(eta), side2) == eta:
                 return True
         return False
 
@@ -108,10 +117,31 @@ def dominant_shell(n, bound4):
     return out
 
 
+def class_shell(n, bound4, parity):
+    """All weakly decreasing nonnegative vectors of n doubled coordinates of
+    one congruence class (step 2; zeros only in the even class) with squared
+    norm (times 4) at most bound4, each paired with that norm."""
+    out = []
+
+    def rec(prefix, i, cap, budget):
+        if i == n:
+            out.append((tuple(prefix), bound4 - budget))
+            return
+        top = min(cap, isqrt(budget))
+        for v in range(top - (top - parity) % 2, -1, -2):
+            prefix.append(v)
+            rec(prefix, i + 1, v, budget - v * v)
+            prefix.pop()
+
+    rec([], 0, isqrt(bound4), bound4)
+    return out
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """`shell_minimum` is (least norm times 4, dominant minimisers) of the
-    admissible points in the candidate's shell; (None, ()) when it holds
+    """`shell_size` counts the shell points the membership test was asked
+    about.  `shell_minimum` is (least norm times 4, dominant minimisers) of
+    the admissible points in the candidate's shell; (None, ()) when it holds
     none."""
     datum: MarkedPartition
     candidate: Weight
@@ -130,23 +160,38 @@ class Certificate:
 def verify_min(m):
     """Certify that the weight of a distinguished datum (its staggered
     canonical split) is the unique minimal member of its admissible set, by
-    exhaustive enumeration of the dominant shell it cuts out."""
+    exhaustive enumeration of the dominant shell it cuts out.
+
+    The shell is walked one congruence class at a time, and only at the
+    class sizes some lift marking (nu, eta) accepts: |nu|/2 coordinates of
+    the mark parity and floor(|eta|/2) of the other.  This is exact: the
+    membership test rejects, for every lift, a point whose class sizes are
+    not that lift's, so the points left out are points it would reject."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
-    n = size(m.lam) // 2
+    parity = MARK_PARITY[m.kind]
     cand = gamma_la(m)
     test = membership_tester(m)
-    shell = dominant_shell(n, sum(h * h for h in cand.halves))
-    best, found = None, []
-    for pt in shell:
-        if not test(pt):
-            continue
-        norm4 = sum(h * h for h in pt)
-        if best is None or norm4 < best:
-            best, found = norm4, []
-        if norm4 == best:
-            found.append(pt)
-    return Certificate(m, cand, len(shell), (best, tuple(sorted(found, reverse=True))))
+    bound4 = sum(h * h for h in cand.halves)
+    counts = {(size(nu) // 2, size(multiset_difference(m.lam, nu)) // 2)
+              for nu in equivalent_markings(m)}
+    tested, best, found = 0, None, []
+    for a, b in sorted(counts):
+        others = class_shell(b, bound4, 1 - parity)
+        for marked, norm1 in class_shell(a, bound4, parity):
+            for other, norm2 in others:
+                norm4 = norm1 + norm2
+                if norm4 > bound4:
+                    continue
+                pt = tuple(sorted(marked + other, reverse=True))
+                tested += 1
+                if not test(pt):
+                    continue
+                if best is None or norm4 < best:
+                    best, found = norm4, []
+                if norm4 == best:
+                    found.append(pt)
+    return Certificate(m, cand, tested, (best, tuple(sorted(found, reverse=True))))
 
 
 def signatures(n, parity):

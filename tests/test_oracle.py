@@ -7,7 +7,7 @@ from orbitduality.compgroups import (
 )
 from orbitduality.infchar import Weight, rho_plus
 from orbitduality.oracle import (
-    dominant_shell, dominant_shell_naive, membership_tester, richardson_pair,
+    class_shell, dominant_shell, dominant_shell_naive, membership_tester, richardson_pair,
     richardson_zero, signature_minimum, verify_min,
 )
 from orbitduality.partitions import enumerate_partitions, size, union, uparrow
@@ -49,9 +49,10 @@ def test_verify_min_examples():
 
 def test_verify_min_needs_the_candidate_alone_at_the_least_norm(monkeypatch):
     # the certificate fails when the candidate is not admissible, and when a
-    # second admissible point has the candidate's norm
+    # second admissible point has the candidate's norm; the rival has the
+    # class sizes of the lift nu=(5,3), eta=(1), so the shell offers it
     m = parse_marked("B:<[5,1]>[5,3,1]")
-    cand, rival = (5, 3, 1, 1), (4, 4, 2, 0)
+    cand, rival = (5, 3, 1, 1), (3, 3, 3, 3)
     real = membership_tester(m)
     assert real(cand) and not real(rival)
     assert sum(h * h for h in rival) == sum(h * h for h in cand)
@@ -74,7 +75,46 @@ def test_verify_min_requires_distinguished():
 def test_shell_enumerator_against_naive():
     for n in (1, 2, 3):
         for bound in (0, 1, 5, 20, 33):
-            assert sorted(dominant_shell(n, bound)) == dominant_shell_naive(n, bound)
+            naive = dominant_shell_naive(n, bound)
+            assert sorted(dominant_shell(n, bound)) == naive
+            for parity in (0, 1):
+                one_class = [(pt, sum(h * h for h in pt)) for pt in naive
+                             if all(h % 2 == parity for h in pt)]
+                assert sorted(class_shell(n, bound, parity)) == one_class
+
+
+def test_class_pruned_shell_against_the_whole_shell():
+    # the least norm and minimisers over every dominant point of the shell,
+    # each tested by a fresh tester, on every special distinguished datum
+    # through rank 5
+    count = 0
+    for kind, sizes in verify.type_sizes(5).items():
+        for n in sizes:
+            for m in verify.iter_special_distinguished(kind, n):
+                count += 1
+                cert = verify_min(m)
+                test = membership_tester(m)
+                bound4 = sum(h * h for h in cert.candidate.halves)
+                members = [pt for pt in dominant_shell(size(m.lam) // 2, bound4) if test(pt)]
+                best = min((sum(h * h for h in pt) for pt in members), default=None)
+                found = tuple(sorted((pt for pt in members if sum(h * h for h in pt) == best),
+                                     reverse=True))
+                assert cert.shell_minimum == (best, found), str(m)
+                assert cert.passed == (found == (cert.candidate.halves,)
+                                       and best == bound4), str(m)
+    assert count == 38
+
+
+def test_cross_check_catches_a_class_shell_without_zeros(monkeypatch):
+    real = oracle.class_shell
+
+    def without_zeros(n, bound4, parity):
+        return [(v, norm4) for v, norm4 in real(n, bound4, parity) if 0 not in v]
+
+    monkeypatch.setattr(oracle, "class_shell", without_zeros)
+    rep = verify.verify_minimality(max_rank=4, jobs=1)
+    checks = {f["check"] for f in rep["failures"]}
+    assert not rep["passed"] and {"shell", "routes disagree"} <= checks
 
 
 def test_richardson_pair_witness():
