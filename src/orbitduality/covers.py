@@ -13,12 +13,14 @@ from .compgroups import (
     MarkedPartition,
     a_group_elements,
     abar_rank,
+    canonical_split,
     distinct_eps_values,
     group_data,
     kernel_subgroup,
+    multiset_difference,
 )
-from .sommers import sat_inverse, sat_la, sommers_dual
-from .infchar import nu0_eta0
+from .sommers import require_reduced, sat_inverse, sat_la, sommers_dual
+from .infchar import _route_pair, nu0_eta0
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,17 @@ class ChainStep:
     induced: InducedOrbit
 
 
+def _induce_dual(a, dual, m):
+    """One saturation step onto the datum m: `dual`, the dual of m without
+    one gl(a) pair, induced from gl(a) and checked against D(m).  Returns
+    (induced, D(m))."""
+    induced = induce([(1,) * a], dual)
+    dual = sommers_dual(m, route="general")
+    if induced.orbit.parts != dual.parts:
+        raise AssertionError("induction/duality mismatch at gl(%d)" % a)
+    return induced, dual
+
+
 def saturation_chain(m):
     """The duality map along the saturation chain of a reduced marked datum.
 
@@ -157,15 +170,13 @@ def saturation_chain(m):
     alongside and checking it against the dual of each saturated datum.
     Returns (D(core), steps).
     """
+    require_reduced(m)
     gl, cur = sat_inverse(m)
     core_dual = dual = sommers_dual(cur, route="general")
     steps = []
     for a in sorted(gl, reverse=True):
         nxt = sat_la([(a,)], cur)
-        induced = induce([(1,) * a], dual)
-        dual = sommers_dual(nxt, route="general")
-        if induced.orbit.parts != dual.parts:
-            raise AssertionError("induction/duality mismatch at gl(%d)" % a)
+        induced, dual = _induce_dual(a, dual, nxt)
         steps.append(ChainStep(a, cur, induced))
         cur = nxt
     return core_dual, steps
@@ -244,14 +255,16 @@ def gamma_group_rank(m):
     return chain_rank(*saturation_chain(m))
 
 
+def _pair_abar_rank(kind, split):
+    """log2 of Abar of the pseudo-Levi pair orbit of a split (nu0, eta0) of
+    a type-`kind` datum: the sum over the two factors."""
+    return sum(abar_rank(parts, k) for parts, k in zip(split, PSEUDO_LEVI[kind]))
+
+
 def abar_r_rank(m):
     """log2 of Abar of the pseudo-Levi pair orbit (sum over the two factors)."""
     lift = ms_lift(m)
-    total = 0
-    for f in (lift.factor1, lift.factor2):
-        if f.ambient:
-            total += abar_rank(f.parts, f.kind)
-    return total
+    return _pair_abar_rank(m.kind, (lift.factor1.parts, lift.factor2.parts))
 
 
 @dataclass(frozen=True)
@@ -266,9 +279,12 @@ def saturation_step_analysis(a, cur):
     `abar_changes`: the pseudo-Levi pair component group gains a factor of
     order 2.  `bind_birational`: the dual-side induction step is birational.
     """
-    lam = cur.lam
-    nu0, eta0 = nu0_eta0(cur)
-    kind = cur.kind
+    return _step_flags(a, cur.lam, cur.kind, *nu0_eta0(cur))
+
+
+def _step_flags(a, lam, kind, nu0, eta0):
+    """`saturation_step_analysis` of a datum with rows lam and split
+    (nu0, eta0)."""
     eta_ht = sum(1 for v in eta0 if v >= a)
     nu_ht = sum(1 for v in nu0 if v >= a)
     eta_cond = eta_ht % 2 == (1 if kind == "B" else 0)
@@ -281,3 +297,58 @@ def saturation_step_analysis(a, cur):
     else:
         non_birational = fresh and nu_ht % 2 == 1
     return StepFlags(abar_changes, not non_birational)
+
+
+# ---------------------------------------------------------------------------
+# the saturation chains of a family, each step walked once
+
+
+@dataclass(frozen=True)
+class ChainEntry:
+    """What a `ChainTable` keeps of a datum: its dual D(m), its Galois rank
+    (`chain_rank`), log2 of its cover degree (`chain_degree`) and its split
+    (`nu0_eta0`)."""
+    dual: Orbit
+    rank: int
+    degree_log2: int
+    split: tuple
+
+
+class ChainTable:
+    """Saturation chains of reduced marked data, built bottom-up.
+
+    A distinguished core's entry holds its dual and its canonical split.
+    Any other datum's predecessor is the datum without its smallest gl pair,
+    the last step `saturation_chain` takes, and its entry comes from the
+    predecessor's: the dual induced from gl(a) and checked against D(m), the
+    rank and the degree exponent one higher when the step is non-birational,
+    and the split with one routed (a, a) pair.  A table is made for one run
+    of a suite and keeps nothing else.
+    """
+
+    def __init__(self):
+        self.entries = {}
+
+    def fill(self, m):
+        """Enter m, and first each predecessor it needs that is not entered
+        yet.  Returns (datum, last step) for every datum entered, in the order
+        entered, the last step None for a core; [] when m was entered before.
+        """
+        if m in self.entries:
+            return []
+        gl, _ = sat_inverse(m)
+        if not gl:
+            dual = sommers_dual(m, route="general")
+            self.entries[m] = ChainEntry(dual, group_data(dual).a_ad_rank,
+                                         abar_rank(dual.parts, dual.kind), canonical_split(m))
+            return [(m, None)]
+        a = gl[-1]
+        pred = MarkedPartition(m.kind, multiset_difference(m.lam, (a, a)), m.nu)
+        entered = self.fill(pred)
+        prev = self.entries[pred]
+        induced, dual = _induce_dual(a, prev.dual, m)
+        up = not induced.birational
+        self.entries[m] = ChainEntry(dual, prev.rank + up, prev.degree_log2 + up,
+                                     _route_pair(m.kind, prev.split, a))
+        entered.append((m, ChainStep(a, pred, induced)))
+        return entered

@@ -114,17 +114,23 @@ def _core_split(m):
     return (gl,) + canonical_split(core)
 
 
+def _route_pair(kind, split, a):
+    """The split (nu0, eta0) with one (a, a) pair added: to the unmarked side
+    when a has the marking parity, to the marked side otherwise."""
+    nu0, eta0 = split
+    if a % 2 == MARK_PARITY[kind]:
+        return nu0, union(eta0, (a, a))
+    return union(nu0, (a, a)), eta0
+
+
 def nu0_eta0(m):
     """Minimal-weight split of a marked partition: the split of its
-    distinguished core extended by one pair per stripped gl factor, routed to
-    the unmarked side when the size has the marking parity."""
+    distinguished core extended by one routed pair per stripped gl factor."""
     gl, nu0, eta0 = _core_split(m)
+    split = nu0, eta0
     for a in gl:
-        if a % 2 == MARK_PARITY[m.kind]:
-            eta0 = union(eta0, (a, a))
-        else:
-            nu0 = union(nu0, (a, a))
-    return nu0, eta0
+        split = _route_pair(m.kind, split, a)
+    return split
 
 
 def gamma_la(m):

@@ -33,10 +33,12 @@ from .compgroups import (
     markable_parts,
     marking_subsets,
 )
-from .sommers import sommers_dual
-from .infchar import canonical, gamma_la, gamma_rigid_cover, rho_plus
+from .sommers import sat_inverse, sommers_dual
+from .infchar import canonical, gamma_la, gamma_rigid_cover, nu0_eta0, rho_plus
 from .covers import (
-    abar_r_rank,
+    ChainTable,
+    _pair_abar_rank,
+    _step_flags,
     chain_degree,
     chain_rank,
     d_map,
@@ -44,7 +46,6 @@ from .covers import (
     ms_lift,
     rigidity,
     saturation_chain,
-    saturation_step_analysis,
 )
 from .oracle import richardson_pair, signature_minimum, verify_min
 from . import exceptional
@@ -293,30 +294,61 @@ def verify_rigidity(max_rank=5):
     return _report("rigidity", len(data), failures)
 
 
+# Data of rank at most this are walked by `saturation_chain` as well, which
+# must give the chain table's core dual, rank, degree, last step and split.
+CHAIN_CROSS_CHECK_RANK = 6
+
+
+def _chain_differences(m, table, last):
+    """The fields in which `saturation_chain(m)` and `nu0_eta0(m)` differ
+    from m's entry in the table and its last step `last`."""
+    core_dual, steps = saturation_chain(m)
+    entry = table.entries[m]
+    walked = {"core dual": core_dual, "rank": chain_rank(core_dual, steps),
+              "degree": chain_degree(core_dual, steps),
+              "last step": steps[-1] if steps else None, "split": nu0_eta0(m)}
+    tabled = {"core dual": table.entries[sat_inverse(m)[1]].dual, "rank": entry.rank,
+              "degree": 2 ** entry.degree_log2, "last step": last, "split": entry.split}
+    return [field for field in walked if walked[field] != tabled[field]]
+
+
 def verify_gamma_group(max_rank=5):
     """On special data the two Galois-group computations agree rank for rank,
     the per-step criteria are equivalent and agree with the birationality of
     the induction the chain computes, and for unmarked data the dual cover
-    degree is the canonical-quotient order."""
+    degree is the canonical-quotient order.
+
+    The chains come from one `ChainTable`, so each step is checked once,
+    under the datum whose last step it is, predecessors below the suite's
+    sizes included.  Through CHAIN_CROSS_CHECK_RANK every datum's chain is
+    walked again by `saturation_chain`, the reference (`chain` records)."""
     failures = []
     data = _data(iter_special, max_rank)
+    table = ChainTable()
     for m in data:
-        core_dual, steps = saturation_chain(m)
-        r1, r2 = chain_rank(core_dual, steps), abar_r_rank(m)
-        if r1 != r2:
-            failures.append(_failure("ranks", m, gamma_group_rank=r1, abar_r_rank=r2))
-        for step in steps:
-            flags = saturation_step_analysis(step.a, step.datum)
+        # the data come in increasing size, so m is entered last
+        entered = table.fill(m)
+        for datum, step in entered:
+            if step is None:
+                continue
+            flags = _step_flags(step.a, step.datum.lam, m.kind,
+                                *table.entries[step.datum].split)
             if flags.abar_changes == flags.bind_birational:
-                failures.append(_failure("step", m, a=step.a, step_datum=str(step.datum)))
+                failures.append(_failure("step", datum, a=step.a, step_datum=str(step.datum)))
             if flags.bind_birational != step.induced.birational:
-                failures.append(_failure("step birationality", m, a=step.a,
+                failures.append(_failure("step birationality", datum, a=step.a,
                                          step_datum=str(step.datum),
                                          induced_birational=step.induced.birational))
-        if not m.nu:
-            degree = chain_degree(core_dual, steps)
-            if degree != 2 ** abar_rank(m.lam, m.kind):
-                failures.append(_failure("galois degree", m, degree=degree))
+        entry = table.entries[m]
+        r1, r2 = entry.rank, _pair_abar_rank(m.kind, entry.split)
+        if r1 != r2:
+            failures.append(_failure("ranks", m, gamma_group_rank=r1, abar_r_rank=r2))
+        if not m.nu and entry.degree_log2 != abar_rank(m.lam, m.kind):
+            failures.append(_failure("galois degree", m, degree=2 ** entry.degree_log2))
+        if size(m.lam) // 2 <= CHAIN_CROSS_CHECK_RANK:
+            differs = _chain_differences(m, table, entered[-1][1])
+            if differs:
+                failures.append(_failure("chain", m, differs=differs))
     return _report("galois group ranks", len(data), failures)
 
 

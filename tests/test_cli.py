@@ -135,6 +135,9 @@ ERROR_TEXT = {
     ("saturate", "gl(2)", "[2];[]"): "a gl-only Levi needs --kind",
     ("saturate", "gl(2)+sp(4)", "[2];[2,2]", "--kind", "D"):
         "--kind D does not match the Levi's type-C factor",
+    # a datum that is not reduced is named as given, not as its core
+    ("gamma-group", "C:<[2]>[2,2,2]"): "C:<[2]>[2,2,2] is not reduced",
+    ("d-map", "D:<[3,1]>[3,3,3,1]"): "D:<[3,1]>[3,3,3,1] is not reduced",
 }
 
 

@@ -1,12 +1,12 @@
 """Property tests beyond the ranges the exhaustive suites reach: special
-distinguished data of ranks 10-16, orbits of ranks 10-20, partitions of
-sizes 20-40.  Draws are derandomized and bounded, so the run is
+data of ranks 10-16, distinguished or saturated from a distinguished core,
+orbits of ranks 10-20, partitions of sizes 20-40.  Draws are derandomized and bounded, so the run is
 deterministic and short."""
 
 import itertools
 from functools import lru_cache
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from orbitduality.partitions import (
     EPSILON, collapse, dominates, enumerate_type, is_type, lower_covers, transpose,
@@ -20,9 +20,10 @@ from orbitduality.compgroups import (
     markable_parts,
     parse_marked,
 )
-from orbitduality.infchar import gamma_la
+from orbitduality.covers import ChainTable, chain_degree, chain_rank, saturation_chain
+from orbitduality.infchar import gamma_la, nu0_eta0
 from orbitduality.oracle import signature_minimum
-from orbitduality.sommers import sommers_dual
+from orbitduality.sommers import sat_la, sommers_dual
 from orbitduality.verify import iter_special_distinguished
 
 RANKS = range(10, 17)
@@ -153,6 +154,36 @@ def test_dominates_compares_every_prefix_sum(pair):
     assert dominates(p, q) == dominates(transpose(q), transpose(p))
     for cover in lower_covers(p):
         assert dominates(p, cover) and not dominates(cover, p)
+
+
+@st.composite
+def saturated(draw):
+    """A special datum of rank 10-16 with gl factors: a special
+    distinguished core saturated by the principal orbits of a drawn
+    partition."""
+    kind = draw(st.sampled_from("BCD"))
+    n = _size(kind, draw(st.sampled_from(RANKS)))
+    gl = draw(partitions(range(1, n // 2 + 1)))
+    cores = special_distinguished(kind, n - 2 * sum(gl))
+    assume(cores)
+    m = sat_la([(a,) for a in gl], draw(st.sampled_from(cores)))
+    assume(is_special_marked(m))
+    return m
+
+
+@PROPERTY
+@given(saturated())
+def test_chain_table_agrees_with_the_walked_chain(m):
+    # CHAIN_CROSS_CHECK_RANK stops the suite's cross-check at rank 6
+    table = ChainTable()
+    entered = table.fill(m)
+    entry = table.entries[m]
+    core_dual, steps = saturation_chain(m)
+    assert steps and entered[-1] == (m, steps[-1])
+    assert entry.dual == steps[-1].induced.orbit
+    assert entry.rank == chain_rank(core_dual, steps)
+    assert 2 ** entry.degree_log2 == chain_degree(core_dual, steps)
+    assert entry.split == nu0_eta0(m)
 
 
 @st.composite

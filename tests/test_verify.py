@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from orbitduality import verify
+from orbitduality import covers, verify
 from orbitduality.cli import main
+from orbitduality.compgroups import parse_marked
 from orbitduality.covers import MSLift, RigidityFlags
 from orbitduality.infchar import Weight
-from orbitduality.orbits import Orbit, enumerate_orbits
+from orbitduality.orbits import InducedOrbit, Orbit, enumerate_orbits
 from orbitduality.partitions import enumerate_partitions, enumerate_type, lower_covers
 
 
@@ -52,7 +53,7 @@ BREAKS = {
     "gamma": ("gamma_rigid_cover", _wrong_weight),
     "duality": ("bvls_dual", lambda o: o),
     "rigidity": ("rigidity", lambda base, sub: RigidityFlags(False, True)),
-    "gamma-group": ("abar_r_rank", lambda m: -1),
+    "gamma-group": ("_pair_abar_rank", lambda kind, split: -1),
     "richardson": ("ms_lift", lambda m: MSLift(Orbit("B", 1, (1,)), Orbit("B", 1, (1,)))),
     "tables": ("gamma_la", _wrong_weight),
     "kernel": ("abar_rank", lambda lam, kind: -1),
@@ -182,19 +183,77 @@ def test_duality_rejects_a_reversed_cover_pair(monkeypatch):
     assert not [f for f in report["failures"] if f["check"] == "order by pairs"]
 
 
-def test_gamma_group_rejects_a_flipped_induction_step(monkeypatch):
-    real = verify.saturation_chain
-    target = next(m for m in verify._data(verify.iter_special, 3) if real(m)[1])
-
+def _flip_first_step(chain, target):
+    """`chain` with the birational flag of the first step of target's chain
+    flipped."""
     def flipped(m):
-        core_dual, steps = real(m)
+        core_dual, steps = chain(m)
         if m == target:
             induced = steps[0].induced
             induced = dataclasses.replace(induced, birational=not induced.birational)
             steps = [dataclasses.replace(steps[0], induced=induced)] + steps[1:]
         return core_dual, steps
+    return flipped
 
-    monkeypatch.setattr(verify, "saturation_chain", flipped)
+
+def test_gamma_group_rejects_a_flipped_induction_step(monkeypatch):
+    # the chain table carries the suite's checks; saturation_chain is the
+    # reference it is compared with, so a step flipped there is a `chain` record
+    real = verify.saturation_chain
+    target = next(m for m in verify._data(verify.iter_special, 3) if real(m)[1])
+    monkeypatch.setattr(verify, "saturation_chain", _flip_first_step(real, target))
     report = verify.verify_gamma_group(max_rank=3)
-    assert {f["datum"] for f in report["failures"]} == {str(target)}
-    assert "step birationality" in {f["check"] for f in report["failures"]}
+    assert {(f["check"], f["datum"]) for f in report["failures"]} == {("chain", str(target))}
+
+
+def test_chain_cross_check_runs_through_its_rank(monkeypatch):
+    rank = verify.CHAIN_CROSS_CHECK_RANK
+    real = verify.saturation_chain
+    target = next(m for m in verify.iter_special("C", 2 * rank) if real(m)[1])
+    monkeypatch.setattr(verify, "saturation_chain", _flip_first_step(real, target))
+    report = verify.verify_gamma_group(max_rank=rank)
+    assert {(f["check"], f["datum"]) for f in report["failures"]} == {("chain", str(target))}
+
+
+def test_chain_table_rejects_a_dual_taken_without_induction(monkeypatch):
+    # the predecessor's dual, unchanged, in place of the one induced from it
+    monkeypatch.setattr(covers, "induce", lambda gl_orbits, core: InducedOrbit(core, True))
+    with pytest.raises(AssertionError, match=r"induction/duality mismatch at gl\(1\)"):
+        verify.verify_gamma_group(max_rank=2)
+
+
+def test_chain_table_rejects_a_predecessor_without_the_largest_pair(monkeypatch):
+    # C:<[]>[2,2,1,1] without its largest pair (2,2) is C:<[]>[1,1], and that
+    # step is non-birational; its true last step is gl(1) onto C:<[]>[2,2]
+    real = covers.sat_inverse
+    target = parse_marked("C:<[]>[2,2,1,1]")
+    entered = covers.ChainTable().fill(target)
+    assert entered[-1][1].a == 1 and entered[-1][1].induced.birational
+
+    def largest_last(m):
+        gl, core = real(m)
+        return gl[::-1], core
+
+    monkeypatch.setattr(covers, "sat_inverse", largest_last)
+    assert not covers.ChainTable().fill(target)[-1][1].induced.birational
+    report = verify.verify_gamma_group(max_rank=3)
+    assert {"check": "chain", "datum": str(target),
+            "detail": {"differs": ["last step"]}} in report["failures"]
+
+
+def test_a_flipped_step_is_reported_once(monkeypatch):
+    # the step gl(1) onto C:<[]>[2,2,1,1] lies on the chain of C:<[]>[2,2,1,1,1,1]
+    # as well, but only the datum whose last step it is reports it
+    real = covers._induce_dual
+    target = parse_marked("C:<[]>[2,2,1,1]")
+
+    def flipped(a, dual, m):
+        induced, dual_m = real(a, dual, m)
+        if m == target:
+            induced = dataclasses.replace(induced, birational=not induced.birational)
+        return induced, dual_m
+
+    monkeypatch.setattr(covers, "_induce_dual", flipped)
+    report = verify.verify_gamma_group(max_rank=4)
+    assert [(f["check"], f["datum"]) for f in report["failures"]
+            if f["check"] == "step birationality"] == [("step birationality", str(target))]
