@@ -13,7 +13,6 @@ not for the parser.
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .partitions import collapse, format_partition, parse_partition, size, transpose
@@ -188,10 +187,8 @@ def _cmd_table(args):
 def _cmd_verify(args):
     if args.max_rank < 0:
         raise ValueError("--max-rank must be at least 0")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     suites = verify.SUITES if args.suite == "all" else [args.suite]
-    reports = verify.verify_all(max_rank=args.max_rank, jobs=args.jobs, suites=suites)
+    reports = verify.verify_all(max_rank=args.max_rank, suites=suites)
     ok = all(r["passed"] for r in reports)
     if args.json:
         print(json.dumps(reports, indent=2, sort_keys=True, default=str))
@@ -219,9 +216,8 @@ def build_parser():
     """A new parser for the command line.
 
     `main` builds one per process and reuses it: each `parse_args` makes a
-    new Namespace, and no action keeps state between calls.  Two values are
-    frozen when it is built: the `verify` suite choices, from `verify.SUITES`,
-    and the `--jobs` default, from `os.cpu_count()`.
+    new Namespace, and no action keeps state between calls.  The `verify`
+    suite choices are frozen from `verify.SUITES` when it is built.
     """
     parser = _Parser(
         prog="orbitduality",
@@ -294,7 +290,6 @@ def build_parser():
     p.add_argument("--max-rank", type=int, default=5,
                    help="sets every suite's range: rank N (duality N+1; "
                         "kernel size 2N+4, rank N+1; tables fixed)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -273,18 +273,13 @@ class StepFlags:
     bind_birational: bool
 
 
-def saturation_step_analysis(a, cur):
-    """Effect of saturating the datum `cur` by one gl(a) with principal orbit.
+def _step_flags(a, lam, kind, nu0, eta0):
+    """Effect of saturating a type-`kind` datum with rows `lam` and split
+    `(nu0, eta0)` (`nu0_eta0`) by one gl(a) with principal orbit.
 
     `abar_changes`: the pseudo-Levi pair component group gains a factor of
     order 2.  `bind_birational`: the dual-side induction step is birational.
     """
-    return _step_flags(a, cur.lam, cur.kind, *nu0_eta0(cur))
-
-
-def _step_flags(a, lam, kind, nu0, eta0):
-    """`saturation_step_analysis` of a datum with rows lam and split
-    (nu0, eta0)."""
     eta_ht = sum(1 for v in eta0 if v >= a)
     nu_ht = sum(1 for v in nu0 if v >= a)
     eta_cond = eta_ht % 2 == (1 if kind == "B" else 0)

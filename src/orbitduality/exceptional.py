@@ -116,6 +116,8 @@ def parse_gamma(text):
     if "/" in s:
         s, d = s.rsplit("/", 1)
         den = int(d)
+        if den < 1:
+            raise ValueError("weight denominator must be at least 1: %r" % text)
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError("weight text must be parenthesized")
     return tuple(Fraction(int(x), den) for x in s[1:-1].split(","))
@@ -387,6 +389,10 @@ def verify_tables(group):
     for row in load_gamma_table(group)["rows"]:
         abar_label = row["ranks"].split(",")[0].strip()
         checked["gamma_rank"] += 1
+        unknown = [g for g in (abar_label, row["gamma_group"]) if g not in _GROUP_ORDER]
+        if unknown:
+            failures.append(("group_label", row["dual"], row["m_orbit"], *unknown))
+            continue
         if _GROUP_ORDER[abar_label] != _GROUP_ORDER[row["gamma_group"]]:
             failures.append(("gamma_rank", row["dual"], row["m_orbit"],
                              abar_label, row["gamma_group"]))

@@ -8,7 +8,6 @@ so(13) / sp(12) / so(12) for the duality identities.
 """
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .partitions import (
@@ -135,18 +134,18 @@ def _certify(m):
                      shell_norm=_norm_text(shell[0])) for c in checks]
 
 
-def verify_minimality(max_rank=5, jobs=None):
+def verify_minimality(max_rank=5, jobs=1):
     """The candidate weight of every special distinguished marked datum is
     the unique minimal member of its admissible set: certified by the
     signature route, and cross-checked by the exhaustive shell through
-    SHELL_CROSS_CHECK_RANK."""
+    SHELL_CROSS_CHECK_RANK.
+
+    The suite runs in one process; `jobs` exists only for callers that
+    pass `jobs=1`, and any other value is a ValueError."""
+    if jobs != 1:
+        raise ValueError("jobs must be 1")
     data = _data(iter_special_distinguished, max_rank)
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_certify, data, chunksize=4))
-    else:
-        results = [_certify(m) for m in data]
-    return _report("minimality", len(data), [f for records in results for f in records])
+    return _report("minimality", len(data), [f for m in data for f in _certify(m)])
 
 
 def verify_gamma(max_rank=5):
@@ -447,24 +446,24 @@ def verify_kernel(max_size=14, max_rank=6):
     return _report("combinatorial kernel", checked, failures)
 
 
-# Every suite, with the keyword arguments that `--max-rank n --jobs j` gives
-# it; at n = 5 these are the ranges of the acceptance tests.
+# Every suite, with the keyword arguments that `--max-rank n` gives it; at
+# n = 5 these are the ranges of the acceptance tests.
 SUITES = {
-    "minimality": (verify_minimality, lambda n, jobs: {"max_rank": n, "jobs": jobs}),
-    "gamma": (verify_gamma, lambda n, jobs: {"max_rank": n}),
-    "duality": (verify_duality, lambda n, jobs: {"max_rank": n + 1}),
-    "rigidity": (verify_rigidity, lambda n, jobs: {"max_rank": n}),
-    "gamma-group": (verify_gamma_group, lambda n, jobs: {"max_rank": n}),
-    "richardson": (verify_richardson, lambda n, jobs: {"max_rank": n}),
-    "tables": (verify_point_values, lambda n, jobs: {}),
-    "kernel": (verify_kernel, lambda n, jobs: {"max_size": 2 * n + 4, "max_rank": n + 1}),
+    "minimality": (verify_minimality, lambda n: {"max_rank": n}),
+    "gamma": (verify_gamma, lambda n: {"max_rank": n}),
+    "duality": (verify_duality, lambda n: {"max_rank": n + 1}),
+    "rigidity": (verify_rigidity, lambda n: {"max_rank": n}),
+    "gamma-group": (verify_gamma_group, lambda n: {"max_rank": n}),
+    "richardson": (verify_richardson, lambda n: {"max_rank": n}),
+    "tables": (verify_point_values, lambda n: {}),
+    "kernel": (verify_kernel, lambda n: {"max_size": 2 * n + 4, "max_rank": n + 1}),
 }
 
 
-def verify_all(max_rank=5, jobs=None, suites=tuple(SUITES)):
+def verify_all(max_rank=5, suites=tuple(SUITES)):
     """Run the named suites (all by default) at the ranges `max_rank` sets."""
     reports = []
     for name in suites:
         fn, params = SUITES[name]
-        reports.append(fn(**params(max_rank, jobs)))
+        reports.append(fn(**params(max_rank)))
     return reports

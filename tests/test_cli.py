@@ -120,8 +120,8 @@ ERROR_TEXT = {
     ("ms-lift", "C:<[]>[1]"): "[1] is not a type-C partition",
     ("gamma", "B:<[]>[4,2]"): "[4,2] is not a type-B partition",
     ("verify", "all", "--max-rank", "-1"): "--max-rank must be at least 0",
-    ("verify", "kernel", "--jobs", "-3"): "--jobs must be at least 1",
-    ("verify", "minimality", "--jobs", "0"): "--jobs must be at least 1",
+    ("verify", "all", "--jobs", "2"): "unrecognized arguments: --jobs",
+    ("verify", "minimality", "--jobs", "1"): "unrecognized arguments: --jobs",
     # usage errors from the parser
     ("collapse",): "the following arguments are required: --kind, partition",
     ("verify", "nosuch"): "argument suite: invalid choice: 'nosuch'",
@@ -200,13 +200,27 @@ def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli._parser()
 
 
-def test_module_entry_point():
+def _run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "orbitduality", "--json", "transpose", "[3,1]"],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point():
+    proc = _run_python("-m", "orbitduality", "--json", "transpose", "[3,1]")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"transpose": [2, 1, 1]}
+
+
+def test_no_process_pool_is_imported():
+    """Every suite runs in one process, so importing the CLI and the suites
+    loads neither `multiprocessing` nor `concurrent.futures`."""
+    proc = _run_python("-c", "import sys, orbitduality.cli, orbitduality.verify; "
+                             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                             "if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def readme_examples():

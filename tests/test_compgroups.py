@@ -152,7 +152,7 @@ def test_minimality_catches_a_wrong_split(monkeypatch):
     # admissible set, so the signature route must fail
     norm4 = compgroups._gamma_norm4
     monkeypatch.setattr(compgroups, "_gamma_norm4", lambda nu, eta: -norm4(nu, eta))
-    report = verify_minimality(max_rank=3, jobs=1)
+    report = verify_minimality(max_rank=3)
     assert not report["passed"]
     assert {f["check"] for f in report["failures"]} >= {"signature"}
 

@@ -3,8 +3,9 @@ from orbitduality.compgroups import MarkedPartition, parse_marked, span
 from orbitduality.sommers import sat_inverse, sat_la, sommers_dual
 from orbitduality.covers import (
     abar_r_rank, d_map, gamma_group_rank, lusztig_cover, ms_lift, phi_data,
-    rigidity, saturation_chain, saturation_step_analysis, singular_rows,
+    _step_flags, rigidity, saturation_chain, singular_rows,
 )
+from orbitduality.infchar import nu0_eta0
 from orbitduality.verify import iter_special
 
 
@@ -86,13 +87,17 @@ def test_rank_routes():
     assert abar_r_rank(witness) == 0
 
 
+def _flags(a, m):
+    return _step_flags(a, m.lam, m.kind, *nu0_eta0(m))
+
+
 def test_step_analysis():
-    flags = saturation_step_analysis(4, parse_marked("B:<[5,1]>[5,3,1]"))
+    flags = _flags(4, parse_marked("B:<[5,1]>[5,3,1]"))
     assert not flags.abar_changes and not flags.bind_birational
-    flags = saturation_step_analysis(5, parse_marked("B:<[5,1]>[5,3,1]"))
+    flags = _flags(5, parse_marked("B:<[5,1]>[5,3,1]"))
     assert not flags.abar_changes and flags.bind_birational
     core = MarkedPartition("D", (3, 1), ())
-    flags = saturation_step_analysis(5, core)
+    flags = _flags(5, core)
     assert flags.abar_changes == (not flags.bind_birational)
 
 
@@ -100,7 +105,7 @@ def test_step_equivalence_on_special_data():
     for kind, n in (("B", 9), ("C", 8), ("D", 8)):
         for m in iter_special(kind, n):
             for step in saturation_chain(m)[1]:
-                flags = saturation_step_analysis(step.a, step.datum)
+                flags = _flags(step.a, step.datum)
                 assert flags.abar_changes != flags.bind_birational, (str(m), step.a)
 
 

@@ -256,18 +256,48 @@ def test_orbit_string_expansion():
     assert ex._expand_orbit_string("{0}") is None
 
 
+def _use_tables(tmp_path, monkeypatch, name, table):
+    """Point ORBITDUALITY_TABLES at a copy of the shipped tables with the
+    file `name` replaced by `table`."""
+    shutil.copytree(ex.tables_dir(), tmp_path, dirs_exist_ok=True)
+    (tmp_path / name).write_text(json.dumps(table))
+    monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
+
+
 @pytest.mark.parametrize("r_orbits", [[], ["[3]", "[3]"]])
 def test_factor_and_orbit_counts_must_match(tmp_path, monkeypatch, capsys, r_orbits):
     """A Galois-table row whose pseudo-Levi has one factor (A2) but another
     number of orbits is an `abar_parse` failure, not a crash or a pass."""
-    shutil.copytree(ex.tables_dir(), tmp_path, dirs_exist_ok=True)
     table = ex.load_gamma_table("G2")
     [row] = [r for r in table["rows"] if r["r"] == "A2"]
     row["r_orbits"] = r_orbits
-    (tmp_path / "gamma_g2.json").write_text(json.dumps(table))
-    monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
+    _use_tables(tmp_path, monkeypatch, "gamma_g2.json", table)
     report = ex.verify_tables("G2")
     assert report["failures"] == [("abar_parse", "G2(a1)", "A2",
                                    "A2 has 1 factors but %d orbits" % len(r_orbits))]
     assert main(["verify", "tables"]) == 1
     assert "tables G2 abar_parse G2(a1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [("gamma_group", "Z3"), ("ranks", "Z3,1,1")])
+def test_unknown_group_label_is_a_failure(tmp_path, monkeypatch, capsys, field, value):
+    """A Galois-table row with a component-group label outside _GROUP_ORDER
+    is one `group_label` failure, and its rank comparisons are skipped."""
+    table = ex.load_gamma_table("G2")
+    [row] = [r for r in table["rows"] if r["r"] == "A2"]
+    row[field] = value
+    _use_tables(tmp_path, monkeypatch, "gamma_g2.json", table)
+    assert ex.verify_tables("G2")["failures"] == [("group_label", "G2(a1)", "A2", "Z3")]
+    assert main(["verify", "tables"]) == 1
+    assert "tables G2 group_label G2(a1)" in capsys.readouterr().out
+
+
+def test_zero_weight_denominator_is_one_error_line(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ValueError, match="denominator"):
+        ex.parse_gamma("(1,1)/0")
+    table = ex.load_table("G2")
+    table["rows"][0]["gamma"] = "(1,1)/0"
+    _use_tables(tmp_path, monkeypatch, "g2.json", table)
+    assert main(["verify", "tables"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: weight denominator")

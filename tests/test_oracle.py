@@ -112,7 +112,7 @@ def test_cross_check_catches_a_class_shell_without_zeros(monkeypatch):
         return [(v, norm4) for v, norm4 in real(n, bound4, parity) if 0 not in v]
 
     monkeypatch.setattr(oracle, "class_shell", without_zeros)
-    rep = verify.verify_minimality(max_rank=4, jobs=1)
+    rep = verify.verify_minimality(max_rank=4)
     checks = {f["check"] for f in rep["failures"]}
     assert not rep["passed"] and {"shell", "routes disagree"} <= checks
 
@@ -169,7 +169,7 @@ def test_cross_check_catches_a_broken_signature_route(monkeypatch, name, broken)
     monkeypatch.setattr(oracle, name, broken)
     oracle._side_table.cache_clear()
     try:
-        rep = verify.verify_minimality(max_rank=3, jobs=1)
+        rep = verify.verify_minimality(max_rank=3)
     finally:
         oracle._side_table.cache_clear()
     assert not rep["passed"]
@@ -190,7 +190,7 @@ def test_a_wrong_candidate_fails_both_routes(monkeypatch):
 
     monkeypatch.setattr(verify, "gamma_la", patched)
     monkeypatch.setattr(oracle, "gamma_la", patched)
-    rep = verify.verify_minimality(max_rank=4, jobs=1)
+    rep = verify.verify_minimality(max_rank=4)
     assert [(f["check"], f["datum"]) for f in rep["failures"]] == [
         ("signature", "B:<[]>[5,3,1]"), ("shell", "B:<[]>[5,3,1]")]
     assert rep["failures"][0]["detail"] == {

@@ -13,9 +13,9 @@ from orbitduality.partitions import enumerate_partitions, enumerate_type, lower_
 
 
 def test_registry_at_rank_5_gives_the_acceptance_ranges():
-    params = {name: params(5, None) for name, (_, params) in verify.SUITES.items()}
+    params = {name: params(5) for name, (_, params) in verify.SUITES.items()}
     assert params == {
-        "minimality": {"max_rank": 5, "jobs": None},
+        "minimality": {"max_rank": 5},
         "gamma": {"max_rank": 5},
         "duality": {"max_rank": 6},
         "rigidity": {"max_rank": 5},
@@ -26,11 +26,16 @@ def test_registry_at_rank_5_gives_the_acceptance_ranges():
     }
 
 
+def test_minimality_runs_in_one_process():
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        verify.verify_minimality(max_rank=1, jobs=2)
+
+
 def test_verify_all_max_rank_sets_every_suite(capsys):
-    assert main(["--json", "verify", "all", "--max-rank", "3", "--jobs", "1"]) == 0
+    assert main(["--json", "verify", "all", "--max-rank", "3"]) == 0
     reports = json.loads(capsys.readouterr().out)
     direct = [
-        verify.verify_minimality(max_rank=3, jobs=1),
+        verify.verify_minimality(max_rank=3),
         verify.verify_gamma(max_rank=3),
         verify.verify_duality(max_rank=4),
         verify.verify_rigidity(max_rank=3),
@@ -67,7 +72,7 @@ def test_failure_records_replay(monkeypatch, capsys, suite):
     `gamma` for a marked partition, `bvls-dual` for an orbit."""
     assert set(BREAKS) == set(verify.SUITES)
     monkeypatch.setattr(verify, *BREAKS[suite])
-    argv = ["verify", suite, "--max-rank", "2", "--jobs", "1"]
+    argv = ["verify", suite, "--max-rank", "2"]
     assert main(["--json"] + argv) == 1
     [report] = json.loads(capsys.readouterr().out)
     assert main(argv) == 1
@@ -86,7 +91,7 @@ def test_failure_records_replay(monkeypatch, capsys, suite):
 
 def test_text_output_gives_the_failure_total(monkeypatch, capsys):
     monkeypatch.setattr(verify, *BREAKS["duality"])
-    argv = ["verify", "duality", "--max-rank", "2", "--jobs", "1"]
+    argv = ["verify", "duality", "--max-rank", "2"]
     assert main(["--json"] + argv) == 1
     total = len(json.loads(capsys.readouterr().out)[0]["failures"])
     assert total > 10
