@@ -31,7 +31,7 @@ from .compgroups import (
     markable_parts,
     parse_marked,
 )
-from .sommers import block_decompose, sat_inverse, sommers_dual
+from .sommers import block_decompose, require_reduced, sat_inverse, sommers_dual
 from .infchar import format_weight, gamma_la, gamma_rigid_cover
 from .covers import abar_r_rank, d_map, gamma_group_rank, ms_lift
 from . import exceptional, verify
@@ -134,6 +134,7 @@ def _cmd_markable(args):
 
 def _cmd_gamma(args):
     m = parse_marked(args.marked)
+    require_reduced(m)
     w = gamma_la(m)
     _emit(args, {"marked": str(m), "gamma": str(w)}, [format_weight(w)])
 
@@ -153,6 +154,7 @@ def _cmd_gamma_group(args):
 
 def _cmd_ms_lift(args):
     m = parse_marked(args.marked)
+    require_reduced(m)
     lift = ms_lift(m)
     doc = {"marked": str(m), "factor1": _orbit_doc(lift.factor1),
            "factor2": _orbit_doc(lift.factor2)}

@@ -19,7 +19,7 @@ from .compgroups import (
     kernel_subgroup,
     multiset_difference,
 )
-from .sommers import require_reduced, sat_inverse, sat_la, sommers_dual
+from .sommers import _sommers_dual, require_reduced, sat_inverse, sat_la, sommers_dual
 from .infchar import _route_pair, nu0_eta0
 
 
@@ -156,7 +156,9 @@ def _induce_dual(a, dual, m):
     one gl(a) pair, induced from gl(a) and checked against D(m).  Returns
     (induced, D(m))."""
     induced = induce([(1,) * a], dual)
-    dual = sommers_dual(m, route="general")
+    # m differs from a reduced datum by (a, a) pairs, and a pair moves the
+    # height of each mark by 0 or 2, so m is reduced as well
+    dual = _sommers_dual(m, "general")
     if induced.orbit.parts != dual.parts:
         raise AssertionError("induction/duality mismatch at gl(%d)" % a)
     return induced, dual
@@ -333,7 +335,9 @@ class ChainTable:
             return []
         gl, _ = sat_inverse(m)
         if not gl:
-            dual = sommers_dual(m, route="general")
+            # the table's data are reduced (`iter_special`), and so are
+            # their predecessors, by the reason in `_induce_dual`
+            dual = _sommers_dual(m, "general")
             self.entries[m] = ChainEntry(dual, group_data(dual).a_ad_rank,
                                          abar_rank(dual.parts, dual.kind), canonical_split(m))
             return [(m, None)]

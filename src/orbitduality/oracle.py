@@ -101,7 +101,8 @@ def membership_tester(m):
 
 def dominant_shell(n, bound4):
     """All weakly decreasing nonnegative doubled-integer vectors of length n
-    with squared norm (times 4) at most bound4."""
+    with squared norm (times 4) at most bound4.  The test reference for
+    `class_shell`, not package API."""
     out = []
 
     def rec(prefix, i, cap, budget):
@@ -271,7 +272,9 @@ def richardson_pair(m):
 
 
 def dominant_shell_naive(n, bound4):
-    """Nested-loop reference enumerator for self-testing the recursion."""
+    """Nested-loop reference enumerator for testing the recursion of
+    `dominant_shell`; both are test references for `class_shell`, not
+    package API."""
     top = 0
     while top * top <= bound4:
         top += 1

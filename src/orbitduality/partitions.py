@@ -139,26 +139,35 @@ def is_very_even(p):
 def collapse(p, kind):
     """Largest partition of the given type dominated by p (the X-collapse).
 
-    Computed by repeatedly moving a box from the last row of the largest
-    offending part down to the first row that can absorb it.
+    One pass over the runs of equal rows, from the top.  A run of value v
+    of the constrained parity and odd length has its last row lowered to
+    v - 1, and that box goes to the first later row of at most v - 2 (a new
+    row of 1 when there is none); the walk goes on from the lowered row.  A
+    box move makes only values of at most v - 1, so the runs above stay
+    fixed, and this is the same as moving a box from the largest offending
+    value again and again.
     """
     eps = EPSILON[kind]
     if (size(p) % 2 == 1) != (kind == "B"):
         raise ValueError("size/kind mismatch: |p|=%d is not a type %s size" % (size(p), kind))
     q = list(p)
-    while True:
-        bad = [v for v in set(q) if v % 2 == eps and q.count(v) % 2 == 1]
-        if not bad:
-            return tuple(v for v in q if v)
-        v = max(bad)
-        i = max(k for k, x in enumerate(q) if x == v)
-        q[i] -= 1
-        for j in range(i + 1, len(q)):
-            if q[j] <= v - 2:
-                q[j] += 1
-                break
+    i = 0
+    while i < len(q):
+        v = q[i]
+        j = i + q.count(v)
+        if v % 2 != eps or (j - i) % 2 == 0:
+            i = j
+            continue
+        k = j + q.count(v - 1)
+        q[j - 1] = v - 1
+        if k < len(q):
+            q[k] += 1
         else:
             q.append(1)
+        i = j - 1
+    # no row reaches 0: a bad run of 1s would leave the size of the wrong
+    # parity, every run above it being even or of the free parity
+    return tuple(q)
 
 
 def drop_box(p):

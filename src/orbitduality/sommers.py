@@ -28,6 +28,7 @@ from .compgroups import (
     canonical_split,
     is_reduced,
     markable_parts,
+    multiset_difference,
 )
 
 DUAL_KIND = {"B": "C", "C": "B", "D": "D"}
@@ -55,10 +56,24 @@ def _dual_partition_distinguished(m):
     return transpose(union(nu0, uparrow(eta0)))
 
 
-def _dual_partition_blocks(m):
+def _dual_partition_blocks(m, block_duals=None):
+    """The join of the general duals of m's blocks, with one column box
+    dropped from every type-C block but the last.  `block_duals`, when
+    given, maps a block tuple (kind, lam, nu) to its general dual and is
+    filled as blocks are met; the decomposition, the drop and the join are
+    still done for every datum."""
     # the empty datum has no blocks; it is its own unmarked block
-    blocks = block_decompose(m) or [m]
-    duals = [_dual_partition_general(b.kind, b.nu, b.eta) for b in blocks]
+    blocks = _block_tuples(m) or [(m.kind, m.lam, m.nu)]
+    if block_duals is None:
+        block_duals = {}
+    duals = []
+    for block in blocks:
+        d = block_duals.get(block)
+        if d is None:
+            kind, lam, nu = block
+            d = block_duals[block] = _dual_partition_general(
+                kind, nu, multiset_difference(lam, nu))
+        duals.append(d)
     if m.kind == "C":
         duals = [drop_column_box(d) for d in duals[:-1]] + [duals[-1]]
     out = ()
@@ -70,12 +85,19 @@ def _dual_partition_blocks(m):
 def sommers_dual(m, route="general"):
     """The dual orbit of a reduced marked partition, by the requested route."""
     require_reduced(m)
+    return _sommers_dual(m, route)
+
+
+def _sommers_dual(m, route, block_duals=None):
+    """`sommers_dual` without the reducedness check, for callers whose data
+    are reduced by construction.  `block_duals` is passed on to the blocks
+    route (`_dual_partition_blocks`)."""
     if route == "general":
         parts = _dual_partition_general(m.kind, m.nu, m.eta)
     elif route == "distinguished":
         parts = _dual_partition_distinguished(m)
     elif route == "blocks":
-        parts = _dual_partition_blocks(m)
+        parts = _dual_partition_blocks(m, block_duals)
     else:
         raise ValueError("unknown route %r" % (route,))
     kind = DUAL_KIND[m.kind]
@@ -138,6 +160,12 @@ def block_decompose(m):
     block, so any returned decomposition is valid.
     """
     require_reduced(m)
+    return [MarkedPartition(*block) for block in _block_tuples(m)]
+
+
+def _block_tuples(m):
+    """The search of `block_decompose` on a reduced datum, each block as a
+    tuple (kind, lam, nu)."""
     lam, nu, kind = m.lam, set(m.nu), m.kind
     values = sorted(set(lam), reverse=True)
 
@@ -154,9 +182,9 @@ def block_decompose(m):
             last = stop == len(values)
             if not _valid_block(kind, index, block_lam, block_nu, last):
                 continue
-            if acc and not _superior_ok(kind, acc[-1].lam, block_lam):
+            if acc and not _superior_ok(kind, acc[-1][1], block_lam):
                 continue
-            block = MarkedPartition(_block_type(kind, index), block_lam, block_nu)
+            block = (_block_type(kind, index), block_lam, block_nu)
             found = search(stop, index + 1, acc + [block])
             if found is not None:
                 return found

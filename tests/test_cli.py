@@ -138,6 +138,8 @@ ERROR_TEXT = {
     # a datum that is not reduced is named as given, not as its core
     ("gamma-group", "C:<[2]>[2,2,2]"): "C:<[2]>[2,2,2] is not reduced",
     ("d-map", "D:<[3,1]>[3,3,3,1]"): "D:<[3,1]>[3,3,3,1] is not reduced",
+    ("gamma", "B:<[3,1]>[3,3,1]"): "B:<[3,1]>[3,3,1] is not reduced",
+    ("ms-lift", "B:<[3,1]>[3,3,1]"): "B:<[3,1]>[3,3,1] is not reduced",
 }
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from orbitduality import verify
 from orbitduality.partitions import (
     as_partition, collapse, dominates, drop_box, add_unit, bump_first,
     drop_column_box, enumerate_partitions, enumerate_type, format_partition,
@@ -136,6 +137,46 @@ def test_collapse_against_brute_force_small():
                 continue
             for p in enumerate_partitions(n):
                 assert collapse(p, kind) == brute_collapse(p, kind)
+
+
+def reference_collapse(p, kind, slack=2):
+    """The box-moving collapse: while some value of the constrained parity
+    has odd multiplicity, move a box from the last row of the largest such
+    value v to the first later row of at most v - slack, or to a new row."""
+    eps = 1 if kind == "C" else 0
+    q = list(p)
+    while True:
+        bad = [v for v in set(q) if v % 2 == eps and q.count(v) % 2 == 1]
+        if not bad:
+            return tuple(v for v in q if v)
+        v = max(bad)
+        i = max(k for k, x in enumerate(q) if x == v)
+        q[i] -= 1
+        for j in range(i + 1, len(q)):
+            if q[j] <= v - slack:
+                q[j] += 1
+                break
+        else:
+            q.append(1)
+
+
+def test_collapse_matches_the_box_moving_reference():
+    checked = 0
+    for n in range(25):
+        for kind in ("B", "C", "D"):
+            if (n % 2 == 1) != (kind == "B"):
+                continue
+            for p in enumerate_partitions(n):
+                assert collapse(p, kind) == reference_collapse(p, kind), (p, kind)
+                checked += 1
+    assert checked == 11453
+
+
+def test_a_loosened_collapse_fails_the_maxima_check(monkeypatch):
+    # boxes that skip the rows of v - 2 as well land too low
+    monkeypatch.setattr(verify, "collapse", lambda p, kind: reference_collapse(p, kind, 3))
+    _, failures = verify.collapse_maxima(10, "C")
+    assert failures and {f["check"] for f in failures} == {"collapse"}
 
 
 def test_stats():

@@ -1,5 +1,6 @@
 import pytest
 
+from orbitduality import sommers, verify
 from orbitduality.orbits import bvls_dual, parse_orbit
 from orbitduality.compgroups import MarkedPartition, parse_marked
 from orbitduality.sommers import (
@@ -84,3 +85,76 @@ def test_sat_round_trips():
 def test_non_reduced_rejected():
     with pytest.raises(ValueError):
         sommers_dual(MarkedPartition("B", (5, 3, 1), (5, 3)))
+
+
+def reference_block_decompose(m):
+    """The block search on marked partitions: every accepted trial block is
+    a validated MarkedPartition."""
+    lam, nu, kind = m.lam, set(m.nu), m.kind
+    values = sorted(set(lam), reverse=True)
+
+    def search(start, index, acc):
+        if start == len(values):
+            return acc
+        for stop in range(start + 1, len(values) + 1):
+            vals = set(values[start:stop])
+            block_lam = tuple(v for v in lam if v in vals)
+            block_nu = tuple(sorted(nu & vals, reverse=True))
+            last = stop == len(values)
+            if not sommers._valid_block(kind, index, block_lam, block_nu, last):
+                continue
+            if acc and not sommers._superior_ok(kind, acc[-1].lam, block_lam):
+                continue
+            block = MarkedPartition(sommers._block_type(kind, index), block_lam, block_nu)
+            found = search(stop, index + 1, acc + [block])
+            if found is not None:
+                return found
+        return None
+
+    return search(0, 0, [])
+
+
+def test_tuple_search_gives_the_reference_blocks():
+    checked = 0
+    for m in verify._data(iter_reduced_marked, 10):
+        blocks = [(b.kind, b.lam, b.nu) for b in reference_block_decompose(m)]
+        assert sommers._block_tuples(m) == blocks, m
+        checked += 1
+    assert checked == 2606
+
+
+class KeyedWithoutMarks(dict):
+    """A block table that forgets each block's marks."""
+
+    def get(self, block, default=None):
+        return super().get(block[:2], default)
+
+    def __setitem__(self, block, dual):
+        super().__setitem__(block[:2], dual)
+
+
+def test_a_block_table_keyed_without_marks_fails_the_blocks_route(monkeypatch):
+    real = verify._sommers_dual
+    table = KeyedWithoutMarks()
+
+    def with_forgetful_table(m, route, block_duals=None):
+        return real(m, route, None if block_duals is None else table)
+
+    monkeypatch.setattr(verify, "_sommers_dual", with_forgetful_table)
+    report = verify.verify_duality(max_rank=6)
+    assert report["failures"]
+    assert {f["check"] for f in report["failures"]} == {"blocks route"}
+
+
+def test_duality_checks_each_datum_reduced_once(monkeypatch):
+    calls = []
+    real = sommers.is_reduced
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(sommers, "is_reduced", counting)
+    report = verify.verify_duality(max_rank=4)
+    assert report["passed"]
+    assert sorted(calls, key=str) == sorted(verify._data(iter_reduced_marked, 4), key=str)
