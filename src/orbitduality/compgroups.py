@@ -94,14 +94,20 @@ def markable_parts(lam, kind):
     """Parts of the non-eps parity whose height has the kind parity.
 
     B: odd part, odd height; C: even part, even height; D: odd part, even
-    height.  Returned as a multiplicity-free decreasing tuple.
+    height.  Returned as a multiplicity-free decreasing tuple.  One pass over
+    the runs of lam: the height of a value is the index just past its run.
     """
+    parity, want = MARK_PARITY[kind], 1 if kind == "B" else 0
     out = []
-    for v in distinct_eps_values(lam, kind):
-        h = height(lam, v)
-        if kind == "B" and h % 2 == 1 or kind in ("C", "D") and h % 2 == 0:
+    i, n = 0, len(lam)
+    while i < n:
+        v, h = lam[i], i + 1
+        while h < n and lam[h] == v:
+            h += 1
+        if v % 2 == parity and h % 2 == want:
             out.append(v)
-    return tuple(sorted(out, reverse=True))
+        i = h
+    return tuple(out)
 
 
 def abar_rank(lam, kind):

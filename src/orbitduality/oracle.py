@@ -62,37 +62,52 @@ def split_classes(kind, halves):
             tuple(h for h in halves if h % 2 != parity))
 
 
-def membership_tester(m):
+def membership_tester(m, orbits=None):
     """A fast membership test for the admissible-weight set of a distinguished
-    marked datum, closed over its precomputed lift markings.  The Richardson
-    orbit of each side vector is computed once per tester: many points share
-    a side."""
+    marked datum, closed over its precomputed lift markings.
+
+    `orbits` memoizes the Richardson orbit of each side vector as
+    {factor kind: {side vector: parts, or None when it has no orbit}}; the
+    ambient size follows from the kind and the side's length, and the test
+    checks both sizes before it asks.  Each orbit is computed once per memo:
+    pass one memo to every tester of a run, since many points and many data
+    share a side.  None means a fresh memo.  The memo is keyed by the whole
+    side vector, never by its multiplicity signature, and filled by
+    `richardson_zero` alone, never from `_side_table`, so the test stays
+    independent of the signature route."""
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
     lam, kind = m.lam, m.kind
     k1, k2 = PSEUDO_LEVI[kind]
-    lifts = [(nu, multiset_difference(lam, nu)) for nu in equivalent_markings(m)]
-    orbits = {}
+    if orbits is None:
+        orbits = {}
+    memo1 = orbits.setdefault(k1, {})
+    memo2 = orbits.setdefault(k2, {})
+    lifts = []      # (nu, |nu|, eta, |eta|)
+    for nu in equivalent_markings(m):
+        eta = multiset_difference(lam, nu)
+        lifts.append((nu, size(nu), eta, size(eta)))
+    interned = {}   # many sides share one orbit: one copy of its parts per tester
 
-    def orbit(k, ambient, side):
-        key = (k, ambient, side)
-        if key not in orbits:
+    def orbit(memo, k, ambient, side):
+        if side not in memo:
             try:
-                orbits[key] = richardson_zero(k, ambient, side).parts
+                parts = richardson_zero(k, ambient, side).parts
             except ValueError:
-                orbits[key] = None
-        return orbits[key]
+                parts = None
+            memo[side] = interned.setdefault(parts, parts)
+        return memo[side]
 
     def test(halves):
         side1, side2 = split_classes(kind, halves)
-        for nu, eta in lifts:
-            if 2 * len(side1) != size(nu):
+        for nu, n1, eta, n2 in lifts:
+            if 2 * len(side1) != n1:
                 continue
-            if 2 * len(side2) + (size(eta) % 2) != size(eta):
+            if 2 * len(side2) + (n2 % 2) != n2:
                 continue
-            if size(nu) and orbit(k1, size(nu), side1) != nu:
+            if n1 and orbit(memo1, k1, n1, side1) != nu:
                 continue
-            if orbit(k2, size(eta), side2) == eta:
+            if orbit(memo2, k2, n2, side2) == eta:
                 return True
         return False
 
@@ -158,7 +173,7 @@ class Certificate:
         return self.shell_minimum == (sum(h * h for h in halves), (halves,))
 
 
-def verify_min(m):
+def verify_min(m, orbits=None):
     """Certify that the weight of a distinguished datum (its staggered
     canonical split) is the unique minimal member of its admissible set, by
     exhaustive enumeration of the dominant shell it cuts out.
@@ -167,12 +182,14 @@ def verify_min(m):
     class sizes some lift marking (nu, eta) accepts: |nu|/2 coordinates of
     the mark parity and floor(|eta|/2) of the other.  This is exact: the
     membership test rejects, for every lift, a point whose class sizes are
-    not that lift's, so the points left out are points it would reject."""
+    not that lift's, so the points left out are points it would reject.
+    `orbits` is the membership test's orbit memo: None for a fresh one, or
+    one memo shared by the data of a run."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
     parity = MARK_PARITY[m.kind]
     cand = gamma_la(m)
-    test = membership_tester(m)
+    test = membership_tester(m, orbits)
     bound4 = sum(h * h for h in cand.halves)
     counts = {(size(nu) // 2, size(multiset_difference(m.lam, nu)) // 2)
               for nu in equivalent_markings(m)}

@@ -110,13 +110,14 @@ def _norm_text(norm4):
     return None if norm4 is None else str(Fraction(norm4, 4))
 
 
-def _certify(m):
+def _certify(m, orbits):
     """The failure records of one special distinguished datum: `signature`
     when its weight is not the one minimiser the signature route finds,
     `shell` when the exhaustive shell does not certify it, `routes disagree`
     when the two routes differ in least norm or minimisers.  The shell runs
-    through SHELL_CROSS_CHECK_RANK only; `shell_norm` is None when it did
-    not run or held no admissible point."""
+    through SHELL_CROSS_CHECK_RANK only, with `orbits` as its Richardson-orbit
+    memo; `shell_norm` is None when it did not run or held no admissible
+    point."""
     cand = gamma_la(m)
     sig = signature_minimum(m)
     checks = []
@@ -124,7 +125,7 @@ def _certify(m):
         checks.append("signature")
     shell = (None, ())
     if size(m.lam) // 2 <= SHELL_CROSS_CHECK_RANK:
-        cert = verify_min(m)
+        cert = verify_min(m, orbits)
         shell = cert.shell_minimum
         if not cert.passed:
             checks.append("shell")
@@ -138,14 +139,15 @@ def verify_minimality(max_rank=5, jobs=1):
     """The candidate weight of every special distinguished marked datum is
     the unique minimal member of its admissible set: certified by the
     signature route, and cross-checked by the exhaustive shell through
-    SHELL_CROSS_CHECK_RANK.
+    SHELL_CROSS_CHECK_RANK, with one Richardson-orbit memo for the call.
 
     The suite runs in one process; `jobs` exists only for callers that
     pass `jobs=1`, and any other value is a ValueError."""
     if jobs != 1:
         raise ValueError("jobs must be 1")
     data = _data(iter_special_distinguished, max_rank)
-    return _report("minimality", len(data), [f for m in data for f in _certify(m)])
+    orbits = {}
+    return _report("minimality", len(data), [f for m in data for f in _certify(m, orbits)])
 
 
 def verify_gamma(max_rank=5):

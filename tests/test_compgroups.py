@@ -1,6 +1,6 @@
 import pytest
 
-from orbitduality.partitions import EPSILON, enumerate_type
+from orbitduality.partitions import EPSILON, enumerate_type, height
 from orbitduality.orbits import Orbit, parse_orbit
 from orbitduality import compgroups
 from orbitduality.compgroups import (
@@ -29,6 +29,27 @@ def test_markable_and_rank():
     assert abar_rank((6, 4, 2), "C") == 1
     assert markable_parts((4, 2, 2), "C") == ()
     assert abar_rank((4, 2, 2), "C") == 0
+
+
+def _markable_parts_by_height(lam, kind):
+    # the definition: each distinct part of the mark parity, kept when its
+    # height has the kind's parity
+    out = []
+    for v in compgroups.distinct_eps_values(lam, kind):
+        h = height(lam, v)
+        if kind == "B" and h % 2 == 1 or kind in ("C", "D") and h % 2 == 0:
+            out.append(v)
+    return tuple(sorted(out, reverse=True))
+
+
+def test_markable_parts_by_runs_is_the_definition():
+    count = 0
+    for kind in "BCD":
+        for n in range(25):
+            for lam in enumerate_type(kind, n):
+                count += 1
+                assert markable_parts(lam, kind) == _markable_parts_by_height(lam, kind), (kind, lam)
+    assert count == 3357
 
 
 def test_kernel_examples():

@@ -57,12 +57,12 @@ def test_verify_min_needs_the_candidate_alone_at_the_least_norm(monkeypatch):
     assert real(cand) and not real(rival)
     assert sum(h * h for h in rival) == sum(h * h for h in cand)
     monkeypatch.setattr(oracle, "membership_tester",
-                        lambda datum: lambda pt: pt != cand and real(pt))
+                        lambda datum, *rest: lambda pt: pt != cand and real(pt))
     cert = verify_min(m)
     assert cert.candidate.halves == cand and not cert.passed
     assert cand not in cert.shell_minimum[1]
     monkeypatch.setattr(oracle, "membership_tester",
-                        lambda datum: lambda pt: pt == rival or real(pt))
+                        lambda datum, *rest: lambda pt: pt == rival or real(pt))
     cert = verify_min(m)
     assert cert.shell_minimum == (36, (cand, rival)) and not cert.passed
 
@@ -112,6 +112,43 @@ def test_cross_check_catches_a_class_shell_without_zeros(monkeypatch):
         return [(v, norm4) for v, norm4 in real(n, bound4, parity) if 0 not in v]
 
     monkeypatch.setattr(oracle, "class_shell", without_zeros)
+    rep = verify.verify_minimality(max_rank=4)
+    checks = {f["check"] for f in rep["failures"]}
+    assert not rep["passed"] and {"shell", "routes disagree"} <= checks
+
+
+class _KindBlindMemo(dict):
+    """A broken orbit memo: one side-vector table for every factor kind."""
+
+    def setdefault(self, kind, default=None):
+        return super().setdefault("any", {})
+
+
+def _memo_mismatches(memo):
+    # the data verify_minimality shells, in its order, certified with one
+    # memo for all of them, against a fresh memo for each datum
+    data = verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK)
+    assert len(data) == 60
+    out = []
+    for m in data:
+        shared, fresh = verify_min(m, memo), verify_min(m)
+        if (shared.shell_minimum, shared.shell_size, shared.passed) != (
+                fresh.shell_minimum, fresh.shell_size, fresh.passed):
+            out.append(str(m))
+    return out
+
+
+def test_one_memo_per_run_certifies_like_a_fresh_memo_per_datum():
+    memo = {}
+    assert _memo_mismatches(memo) == []
+    assert set(memo) == {"B", "C", "D"}
+
+
+def test_cross_checks_catch_a_memo_without_the_factor_kind(monkeypatch):
+    assert _memo_mismatches(_KindBlindMemo())
+    real = verify._certify
+    blind = _KindBlindMemo()
+    monkeypatch.setattr(verify, "_certify", lambda m, orbits: real(m, blind))
     rep = verify.verify_minimality(max_rank=4)
     checks = {f["check"] for f in rep["failures"]}
     assert not rep["passed"] and {"shell", "routes disagree"} <= checks
