@@ -67,14 +67,16 @@ def membership_tester(m, orbits=None):
     marked datum, closed over its precomputed lift markings.
 
     `orbits` memoizes the Richardson orbit of each side vector as
-    {factor kind: {side vector: parts, or None when it has no orbit}}; the
-    ambient size follows from the kind and the side's length, and the test
-    checks both sizes before it asks.  Each orbit is computed once per memo:
-    pass one memo to every tester of a run, since many points and many data
-    share a side.  None means a fresh memo.  The memo is keyed by the whole
-    side vector, never by its multiplicity signature, and filled by
-    `richardson_zero` alone, never from `_side_table`, so the test stays
-    independent of the signature route."""
+    {factor kind: {side vector: parts}}; the ambient size follows from the
+    kind and the side's length.  The test checks the marked side's size
+    against each lift; on a point of rank coordinates the other side's size
+    follows.  A point of another length is rejected and leaves the memo as
+    it was.  Each orbit is computed once per memo: pass one memo to every
+    tester of a run, since many points and many data share a side.  None
+    means a fresh memo.  The memo is keyed by the whole side vector, never
+    by its multiplicity signature, and filled by `richardson_zero` alone,
+    never from `_side_table`, so the test stays independent of the
+    signature route."""
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
     lam, kind = m.lam, m.kind
@@ -90,20 +92,19 @@ def membership_tester(m, orbits=None):
     interned = {}   # many sides share one orbit: one copy of its parts per tester
 
     def orbit(memo, k, ambient, side):
-        if side not in memo:
+        parts = memo.get(side)
+        if parts is None:
             try:
                 parts = richardson_zero(k, ambient, side).parts
             except ValueError:
-                parts = None
-            memo[side] = interned.setdefault(parts, parts)
-        return memo[side]
+                return None
+            parts = memo[side] = interned.setdefault(parts, parts)
+        return parts
 
     def test(halves):
         side1, side2 = split_classes(kind, halves)
         for nu, n1, eta, n2 in lifts:
             if 2 * len(side1) != n1:
-                continue
-            if 2 * len(side2) + (n2 % 2) != n2:
                 continue
             if n1 and orbit(memo1, k1, n1, side1) != nu:
                 continue
@@ -283,9 +284,7 @@ def richardson_pair(m):
     side1, side2 = split_classes(m.kind, gamma_la(m).halves)
     n1 = 2 * len(side1)
     n2 = 2 * len(side2) + (1 if m.kind == "B" else 0)
-    first = richardson_zero(k1, n1, side1) if n1 else Orbit(k1, 0, ())
-    second = richardson_zero(k2, n2, side2) if n2 else Orbit(k2, 0, ())
-    return first, second
+    return richardson_zero(k1, n1, side1), richardson_zero(k2, n2, side2)
 
 
 def dominant_shell_naive(n, bound4):

@@ -136,7 +136,8 @@ def bvls_dual(orbit):
 
     Transpose composed with a boundary adjustment and a type collapse; on a
     very even type-D orbit the decoration is kept when the half-dimension is
-    divisible by 4 and swapped otherwise.
+    divisible by 4 and swapped otherwise.  Any other very even type-D dual
+    carries no decoration: it is not determined by this rule.
     """
     p = orbit.parts
     if orbit.kind == "B":
@@ -150,8 +151,6 @@ def bvls_dual(orbit):
             dec = orbit.decoration
         else:
             dec = {"I": "II", "II": "I"}[orbit.decoration]
-    elif is_very_even(q):
-        dec = None  # decoration not determined by this rule
     return Orbit("D", orbit.ambient, q, dec)
 
 

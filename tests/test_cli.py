@@ -84,6 +84,17 @@ def test_table_verbs(capsys):
     assert json.loads(out)["rows"] == []
 
 
+def test_text_outputs(capsys):
+    code, out = run(capsys, "gamma-cover", "C:[2,2,1,1]")
+    assert code == 0 and out == "(2,1,0)"
+    code, out = run(capsys, "gamma-group", "B:<[5,1]>[5,4,4,3,1]")
+    assert code == 0 and out == "galois rank 1, quotient rank 0"
+    code, out = run(capsys, "table", "g2")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4
+    assert [json.loads(line)["dual"] for line in lines] == ["G2(a1)", "G2(a1)", "G2(a1)", "G2"]
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "kernel")
     assert code == 0 and out.startswith("PASS")
@@ -140,6 +151,10 @@ ERROR_TEXT = {
     ("d-map", "D:<[3,1]>[3,3,3,1]"): "D:<[3,1]>[3,3,3,1] is not reduced",
     ("gamma", "B:<[3,1]>[3,3,1]"): "B:<[3,1]>[3,3,1] is not reduced",
     ("ms-lift", "B:<[3,1]>[3,3,1]"): "B:<[3,1]>[3,3,1] is not reduced",
+    # marked data that `marking_problem` rejects
+    ("gamma", "B:<[3,3]>[3,3,1]"): "marks must be multiplicity-free",
+    ("gamma", "B:<[5,1]>[3,1,1]"): "mark 5 is not a part",
+    ("gamma", "D:<[]>[3,1]I"): "only very even type-D partitions carry decorations",
 }
 
 

@@ -1,5 +1,5 @@
-from orbitduality.orbits import parse_orbit
-from orbitduality.compgroups import MarkedPartition, parse_marked, span
+from orbitduality.orbits import Orbit, parse_orbit
+from orbitduality.compgroups import MarkedPartition, a_group_elements, parse_marked, span
 from orbitduality.sommers import sat_inverse, sat_la, sommers_dual
 from orbitduality.covers import (
     abar_r_rank, d_map, gamma_group_rank, lusztig_cover, ms_lift, phi_data,
@@ -23,6 +23,16 @@ def test_rigidity_h2_needs_support():
     universal = {frozenset()}
     assert rigidity(o, trivial_cover).h2_zero
     assert not rigidity(o, universal).h2_zero
+
+
+def test_rigidity_leaf_criterion():
+    # a gap of 2 at the constrained (odd) parity of type C is a leaf
+    assert not rigidity(Orbit("C", 8, (3, 3, 1, 1)), {frozenset()}).no_codim2_leaves
+    # the gap of 2 below 4 in C:[4,2] is a leaf unless the subgroup misses {4,2}
+    o = Orbit("C", 6, (4, 2))
+    assert frozenset({4, 2}) in a_group_elements(o)
+    assert not rigidity(o, frozenset(a_group_elements(o))).no_codim2_leaves
+    assert rigidity(o, {frozenset()}).birationally_rigid
 
 
 def test_rigidity_zero_orbit():

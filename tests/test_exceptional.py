@@ -301,3 +301,53 @@ def test_zero_weight_denominator_is_one_error_line(tmp_path, monkeypatch, capsys
     assert main(["verify", "tables"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: weight denominator")
+
+
+def _negate_gamma_d(row):
+    row["gamma_d"] = "(-1,0)"
+
+
+def _negate_entry(row):
+    # the same norm, so only membership fails
+    row["entries"][0][1] = "(-1,0)"
+
+
+def _larger_entry_as_gamma(row):
+    row["gamma"] = row["gamma_d"] = row["entries"][1][1]
+
+
+def _galois_group_s3(row):
+    row["gamma_group"] = "S3"
+
+
+def _quotient_and_galois_z2(row):
+    row["ranks"] = "Z2" + row["ranks"][1:]
+    row["gamma_group"] = "Z2"
+
+
+# check -> (group, table file, a corruption of one row, the row's index, the
+# failure record it must give)
+TABLE_BREAKS = {
+    "gamma_equal": ("G2", "g2.json", _negate_gamma_d, 0,
+                    ("gamma_equal", "G2(a1)", "(1,0)", "(-1,0)")),
+    "gamma_member": ("G2", "g2.json", _negate_entry, 0, ("gamma_member", "G2(a1)")),
+    "gamma_min": ("F4", "f4.json", _larger_entry_as_gamma, 5,
+                  ("gamma_min", "F4(a2)", "(1,1,1,1)/2")),
+    "gamma_rank": ("G2", "gamma_g2.json", _galois_group_s3, 0,
+                   ("gamma_rank", "G2(a1)", "2A1", "1", "S3")),
+    "abar_recomputed": ("G2", "gamma_g2.json", _quotient_and_galois_z2, 0,
+                        ("abar_recomputed", "G2(a1)", "2A1", 0, "Z2")),
+}
+
+
+@pytest.mark.parametrize("check", list(TABLE_BREAKS))
+def test_every_table_check_can_fail(tmp_path, monkeypatch, check):
+    group, name, corrupt, index, record = TABLE_BREAKS[check]
+    shipped = ex.verify_tables(group)
+    load = ex.load_gamma_table if name.startswith("gamma_") else ex.load_table
+    table = load(group)
+    corrupt(table["rows"][index])
+    _use_tables(tmp_path, monkeypatch, name, table)
+    report = ex.verify_tables(group)
+    assert report["failures"] == [record]
+    assert report["checked"] == shipped["checked"]

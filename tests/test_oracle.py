@@ -30,6 +30,18 @@ def test_membership_examples():
     assert not test((2, 2))
 
 
+def test_a_point_of_another_length_leaves_the_memo_as_it_was():
+    # (5,3,1) has the marked side of the lift nu=(5,1), eta=(3), so its empty
+    # other side is asked about at ambient 3; stored, that failure would hide
+    # the orbit of the empty side at ambient 1, which the candidate (5,3,1,1)
+    # needs for the lift nu=(5,3), eta=(1)
+    memo = {}
+    test = membership_tester(parse_marked("B:<[5,1]>[5,3,1]"), memo)
+    assert not test((5, 3, 1))
+    assert test((5, 3, 1, 1))
+    assert None not in [parts for sides in memo.values() for parts in sides.values()]
+
+
 def test_membership_canonical_invariance():
     m = parse_marked("C:<[2]>[2,2]")
     test = membership_tester(m)

@@ -1,6 +1,7 @@
 import pytest
 
 from orbitduality import sommers, verify
+from orbitduality.cli import main
 from orbitduality.orbits import bvls_dual, parse_orbit
 from orbitduality.compgroups import MarkedPartition, parse_marked
 from orbitduality.sommers import (
@@ -87,9 +88,17 @@ def test_non_reduced_rejected():
         sommers_dual(MarkedPartition("B", (5, 3, 1), (5, 3)))
 
 
+def separated(kind, upper, lower):
+    """An even (B/D) or odd (C) integer in range(lower[0], upper[-1] + 1),
+    between consecutive blocks."""
+    want = 1 if kind == "C" else 0
+    return any(v % 2 == want for v in range(lower[0], upper[-1] + 1))
+
+
 def reference_block_decompose(m):
-    """The block search on marked partitions: every accepted trial block is
-    a validated MarkedPartition."""
+    """The backtracking block search on marked partitions: every accepted
+    trial block is a validated MarkedPartition, separated from the one
+    before it."""
     lam, nu, kind = m.lam, set(m.nu), m.kind
     values = sorted(set(lam), reverse=True)
 
@@ -103,7 +112,7 @@ def reference_block_decompose(m):
             last = stop == len(values)
             if not sommers._valid_block(kind, index, block_lam, block_nu, last):
                 continue
-            if acc and not sommers._superior_ok(kind, acc[-1].lam, block_lam):
+            if acc and not separated(kind, acc[-1].lam, block_lam):
                 continue
             block = MarkedPartition(sommers._block_type(kind, index), block_lam, block_nu)
             found = search(stop, index + 1, acc + [block])
@@ -121,6 +130,17 @@ def test_tuple_search_gives_the_reference_blocks():
         assert sommers._block_tuples(m) == blocks, m
         checked += 1
     assert checked == 2606
+
+
+def test_no_fitting_block_is_one_error_naming_the_datum(monkeypatch, capsys):
+    text = "B:<[5,1]>[5,3,1]"
+    monkeypatch.setattr(sommers, "_valid_block", lambda *block: False)
+    with pytest.raises(ValueError, match=r"no block decomposition found for B:<\[5,1\]>\[5,3,1\]"):
+        block_decompose(parse_marked(text))
+    assert main(["sommers-dual", text, "--route", "blocks"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: no block decomposition found for %s" % text]
 
 
 class KeyedWithoutMarks(dict):

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from orbitduality import covers, verify
+from orbitduality import covers, sommers, verify
 from orbitduality.cli import main
-from orbitduality.compgroups import parse_marked
-from orbitduality.covers import MSLift, RigidityFlags
+from orbitduality.compgroups import MarkedPartition, parse_marked
+from orbitduality.covers import CoverSpec, MSLift, RigidityFlags
 from orbitduality.infchar import Weight
 from orbitduality.orbits import InducedOrbit, Orbit, enumerate_orbits
 from orbitduality.partitions import enumerate_partitions, enumerate_type, lower_covers
@@ -262,3 +262,52 @@ def test_a_flipped_step_is_reported_once(monkeypatch):
     report = verify.verify_gamma_group(max_rank=4)
     assert [(f["check"], f["datum"]) for f in report["failures"]
             if f["check"] == "step birationality"] == [("step birationality", str(target))]
+
+
+def _general_route_without_marks(m, route, block_duals=None):
+    """`_sommers_dual` whose general route forgets the marks."""
+    if route == "general":
+        m = MarkedPartition(m.kind, m.lam, ())
+    return sommers._sommers_dual(m, route, block_duals)
+
+
+def _equal_step_flags(*args):
+    flags = covers._step_flags(*args)
+    return dataclasses.replace(flags, abar_changes=flags.bind_birational)
+
+
+def _increasing_orbits(kind, n):
+    return enumerate_orbits(kind, n)[::-1]
+
+
+# check -> (suite, [(module, name, broken stand-in)], one record the check
+# must then give); `--max-rank 2` runs the suite
+GATES = {
+    "distinguished route": ("duality", [
+        (sommers, "_dual_partition_distinguished",
+         lambda m: sommers._dual_partition_general(m.kind, (), m.lam))],
+        ("B:<[3,1]>[3,1,1]", {})),
+    "injectivity": ("duality", [(verify, "_sommers_dual", _general_route_without_marks)],
+                    ("C:<[2]>[4,2]", {"same_dual_as": "C:<[]>[4,2]"})),
+    "step": ("gamma-group", [(verify, "_step_flags", _equal_step_flags)],
+             ("B:<[]>[1,1,1]", {"a": 1, "step_datum": "B:<[]>[1]"})),
+    "witness cover": ("tables", [(verify, "d_map", lambda m: CoverSpec(covers.d_map(m).base, 1))],
+                      (str(verify.WITNESS), {"base": "C:[4,4,4,2,2]", "degree": 1})),
+    "collapse by brute force": ("kernel", [(verify, "brute_force_maximum", lambda p, typed: None)],
+                                ("[2,1]", {"kind": "B"})),
+    "two-row norm": ("kernel", [(verify, "uparrow2", lambda p: p)], ("[2,1]", {})),
+    # the orbits in increasing order, so the larger of a pair comes second
+    "order by pairs": ("duality", [(verify, "enumerate_orbits", _increasing_orbits),
+                                   (verify, "bvls_dual", _swapped_duals("C", 4)[2])],
+                       ("C:[4]", {"below": "C:[2,2]"})),
+}
+
+
+@pytest.mark.parametrize("check", list(GATES))
+def test_every_gate_can_fail(monkeypatch, capsys, check):
+    suite, patches, (datum, detail) = GATES[check]
+    for module, name, stand_in in patches:
+        monkeypatch.setattr(module, name, stand_in)
+    assert main(["--json", "verify", suite, "--max-rank", "2"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert {"check": check, "datum": datum, "detail": detail} in report["failures"]
