@@ -10,6 +10,7 @@ signature, and each signature has one dominant vector of least norm.
 """
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -33,20 +34,22 @@ def richardson_zero(kind, ambient, halves):
     The coordinates (doubled) must lie in one congruence class: all even
     (integers) or all odd (strict half-integers).  Equal absolute values of
     multiplicity q contribute a pair of columns of height q; zeros contribute
-    one column holding the rank of the residual classical factor.
+    one column holding the rank of the residual classical factor.  One pass
+    over the runs of the sorted absolute values reads every multiplicity.
     """
-    halves = tuple(abs(h) for h in halves)
-    parities = {h % 2 for h in halves}
-    if len(parities) > 1:
-        raise ValueError("coordinates of one factor must share a congruence class")
-    zeros = sum(1 for h in halves if h == 0)
+    columns, residual, parity = [], ambient % 2, None
+    for v, run in itertools.groupby(sorted(map(abs, halves))):
+        q = len(list(run))
+        if parity is None:
+            parity = v % 2
+        elif v % 2 != parity:
+            raise ValueError("coordinates of one factor must share a congruence class")
+        if v:
+            columns += (q, q)
+        else:
+            residual += 2 * q
     if 2 * len(halves) + (ambient % 2) != ambient:
         raise ValueError("coordinate count does not match the ambient size")
-    columns = []
-    for v in sorted({h for h in halves if h}, reverse=True):
-        q = halves.count(v)
-        columns.extend((q, q))
-    residual = 2 * zeros + (ambient % 2)
     if residual:
         columns.append(residual)
     columns.sort(reverse=True)
@@ -62,34 +65,41 @@ def split_classes(kind, halves):
             tuple(h for h in halves if h % 2 != parity))
 
 
-def membership_tester(m, orbits=None):
-    """A fast membership test for the admissible-weight set of a distinguished
-    marked datum, closed over its precomputed lift markings.
+def _lift_sides(m, orbits):
+    """The lift markings of a distinguished marked datum and the two side
+    questions membership asks of a point, as (lifts, accepting, other_orbit).
+
+    `lifts` lists (nu, |nu|, eta, |eta|) for every marking nu in the datum's
+    class, with eta the rest of its partition.  `accepting(side1)` lists the
+    lifts that a marked side (the coordinates of the mark parity) satisfies:
+    its size is |nu| and its Richardson orbit is nu.  `other_orbit(n2,
+    side2)` is the Richardson orbit of the other side at ambient size n2, or
+    None when the side does not fit that size.
 
     `orbits` memoizes the Richardson orbit of each side vector as
     {factor kind: {side vector: parts}}; the ambient size follows from the
-    kind and the side's length.  The test checks the marked side's size
-    against each lift; on a point of rank coordinates the other side's size
-    follows.  A point of another length is rejected and leaves the memo as
-    it was.  Each orbit is computed once per memo: pass one memo to every
-    tester of a run, since many points and many data share a side.  None
-    means a fresh memo.  The memo is keyed by the whole side vector, never
-    by its multiplicity signature, and filled by `richardson_zero` alone,
-    never from `_side_table`, so the test stays independent of the
-    signature route."""
+    kind and the side's length.  Each orbit is computed once per memo: pass
+    one memo to every datum of a run, since many points and many data share
+    a side.  None means a fresh memo.  The memo is keyed by the whole side
+    vector, never by its multiplicity signature, and filled by
+    `richardson_zero` alone, never from `_side_table`, so the shell stays
+    independent of the signature route.  A side that fits no orbit is not
+    stored, so a point of another length leaves the memo as it was."""
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
-    lam, kind = m.lam, m.kind
-    k1, k2 = PSEUDO_LEVI[kind]
+    lam = m.lam
+    k1, k2 = PSEUDO_LEVI[m.kind]
     if orbits is None:
         orbits = {}
     memo1 = orbits.setdefault(k1, {})
     memo2 = orbits.setdefault(k2, {})
-    lifts = []      # (nu, |nu|, eta, |eta|)
+    lifts, by_size = [], {}
     for nu in equivalent_markings(m):
         eta = multiset_difference(lam, nu)
-        lifts.append((nu, size(nu), eta, size(eta)))
-    interned = {}   # many sides share one orbit: one copy of its parts per tester
+        lift = (nu, size(nu), eta, size(eta))
+        lifts.append(lift)
+        by_size.setdefault(lift[1], []).append(lift)
+    interned = {}   # many sides share one orbit: one copy of its parts per call
 
     def orbit(memo, k, ambient, side):
         parts = memo.get(side)
@@ -101,16 +111,35 @@ def membership_tester(m, orbits=None):
             parts = memo[side] = interned.setdefault(parts, parts)
         return parts
 
+    def accepting(side1):
+        n1 = 2 * len(side1)
+        sized = by_size.get(n1, [])
+        if not (sized and n1):
+            return sized
+        parts = orbit(memo1, k1, n1, side1)
+        return [lift for lift in sized if lift[0] == parts]
+
+    def other_orbit(n2, side2):
+        return orbit(memo2, k2, n2, side2)
+
+    return lifts, accepting, other_orbit
+
+
+def membership_tester(m, orbits=None):
+    """A fast membership test for the admissible-weight set of a distinguished
+    marked datum: a point is a member when its marked side is accepted by
+    some lift (nu, eta) whose eta is the Richardson orbit of its other side.
+    On a point of rank coordinates the other side's size follows from the
+    marked side's; a point of another length is rejected.  `orbits` is the
+    Richardson-orbit memo of `_lift_sides`: None for a fresh one, or one memo
+    shared by every tester of a run."""
+    _, accepting, other_orbit = _lift_sides(m, orbits)
+    kind = m.kind
+
     def test(halves):
         side1, side2 = split_classes(kind, halves)
-        for nu, n1, eta, n2 in lifts:
-            if 2 * len(side1) != n1:
-                continue
-            if n1 and orbit(memo1, k1, n1, side1) != nu:
-                continue
-            if orbit(memo2, k2, n2, side2) == eta:
-                return True
-        return False
+        return any(other_orbit(n2, side2) == eta
+                   for _, _, eta, n2 in accepting(side1))
 
     return test
 
@@ -156,8 +185,9 @@ def class_shell(n, bound4, parity):
 
 @dataclass(frozen=True)
 class Certificate:
-    """`shell_size` counts the shell points the membership test was asked
-    about.  `shell_minimum` is (least norm times 4, dominant minimisers) of
+    """`shell_size` counts the shell points within the candidate's norm, at
+    the class sizes some lift accepts, whether the side check dropped them
+    or the membership test confirmed them.  `shell_minimum` is (least norm times 4, dominant minimisers) of
     the admissible points in the candidate's shell; (None, ()) when it holds
     none."""
     datum: MarkedPartition
@@ -184,28 +214,42 @@ def verify_min(m, orbits=None):
     the mark parity and floor(|eta|/2) of the other.  This is exact: the
     membership test rejects, for every lift, a point whose class sizes are
     not that lift's, so the points left out are points it would reject.
-    `orbits` is the membership test's orbit memo: None for a fresh one, or
-    one memo shared by the data of a run."""
+    The lifts a marked vector satisfies are asked once per marked vector,
+    and a point is dropped unless its other vector's orbit is the eta of
+    one of them; a point that survives is confirmed by `membership_tester`
+    before it is recorded.  Every point within the norm bound counts in
+    `shell_size`, dropped or not.  `orbits` is the Richardson-orbit memo of
+    `_lift_sides`: None for a fresh one, or one memo shared by the data of
+    a run."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
     parity = MARK_PARITY[m.kind]
     cand = gamma_la(m)
+    lifts, accepting, other_orbit = _lift_sides(m, orbits)
     test = membership_tester(m, orbits)
     bound4 = sum(h * h for h in cand.halves)
-    counts = {(size(nu) // 2, size(multiset_difference(m.lam, nu)) // 2)
-              for nu in equivalent_markings(m)}
+    counts = {(n1 // 2, n2 // 2) for _, n1, _, n2 in lifts}
     tested, best, found = 0, None, []
     for a, b in sorted(counts):
-        others = class_shell(b, bound4, 1 - parity)
+        others = sorted(class_shell(b, bound4, 1 - parity), key=lambda pair: pair[1])
+        norms = [norm2 for _, norm2 in others]
         for marked, norm1 in class_shell(a, bound4, parity):
-            for other, norm2 in others:
-                norm4 = norm1 + norm2
-                if norm4 > bound4:
+            within = bisect_right(norms, bound4 - norm1)
+            tested += within
+            if not within:
+                continue
+            accepted = accepting(marked)
+            if not accepted:
+                continue
+            n2 = accepted[0][3]     # |eta| = |lam| - |nu| is one size for all of them
+            etas = {eta for _, _, eta, _ in accepted}
+            for other, norm2 in others[:within]:
+                if other_orbit(n2, other) not in etas:
                     continue
                 pt = tuple(sorted(marked + other, reverse=True))
-                tested += 1
                 if not test(pt):
                     continue
+                norm4 = norm1 + norm2
                 if best is None or norm4 < best:
                     best, found = norm4, []
                 if norm4 == best:

@@ -13,7 +13,7 @@ import inspect
 import json
 import os
 
-from orbitduality import verify
+from orbitduality import oracle, verify
 from orbitduality.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -84,3 +84,21 @@ def test_malformed_queries_exit_with_one_error_line():
         lines = err.getvalue().splitlines()
         assert (code, out.getvalue(), len(lines)) == (1, "", 1), argv
         assert lines[0].startswith("error:"), argv
+
+
+def test_minimality_runs_under_a_counting_tester(monkeypatch):
+    # the benchmark's counting hook replaces the closure membership_tester
+    # returns with a plain one-argument function, so the shell may only call it
+    real, calls = oracle.membership_tester, []
+
+    def counted(*args, **kwargs):
+        test = real(*args, **kwargs)
+
+        def counted_test(halves):
+            calls.append(halves)
+            return test(halves)
+        return counted_test
+
+    monkeypatch.setattr(oracle, "membership_tester", counted)
+    rep = verify.verify_minimality(max_rank=4)
+    assert rep["passed"] and calls

@@ -8,9 +8,10 @@ from orbitduality.compgroups import (
 from orbitduality.infchar import Weight, rho_plus
 from orbitduality.oracle import (
     class_shell, dominant_shell, dominant_shell_naive, membership_tester, richardson_pair,
-    richardson_zero, signature_minimum, verify_min,
+    richardson_zero, signature_minimum, split_classes, verify_min,
 )
-from orbitduality.partitions import enumerate_partitions, size, union, uparrow
+from orbitduality.orbits import Orbit
+from orbitduality.partitions import collapse, enumerate_partitions, size, transpose, union, uparrow
 
 
 def test_richardson_zero_examples():
@@ -21,6 +22,50 @@ def test_richardson_zero_examples():
         richardson_zero("C", 4, (2, 1))
     with pytest.raises(ValueError):
         richardson_zero("C", 6, (2,))
+
+
+def reference_richardson_zero(kind, ambient, halves):
+    """The definition `richardson_zero` had before it counted runs: the
+    distinct nonzero absolute values by a set, each multiplicity by count."""
+    halves = tuple(abs(h) for h in halves)
+    parities = {h % 2 for h in halves}
+    if len(parities) > 1:
+        raise ValueError("coordinates of one factor must share a congruence class")
+    zeros = sum(1 for h in halves if h == 0)
+    if 2 * len(halves) + (ambient % 2) != ambient:
+        raise ValueError("coordinate count does not match the ambient size")
+    columns = []
+    for v in sorted({h for h in halves if h}, reverse=True):
+        q = halves.count(v)
+        columns.extend((q, q))
+    residual = 2 * zeros + (ambient % 2)
+    if residual:
+        columns.append(residual)
+    columns.sort(reverse=True)
+    return Orbit(kind, ambient, collapse(transpose(tuple(columns)), kind))
+
+
+def test_richardson_zero_by_runs_is_the_definition():
+    # every side vector the shell asks about through SHELL_CROSS_CHECK_RANK,
+    # read off one run's memo {factor kind: {side vector: parts}}
+    memo = {}
+    for m in verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK):
+        verify_min(m, memo)
+    sides = [(k, 2 * len(side) + (k == "B"), side) for k, table in memo.items() for side in table]
+    assert len(sides) == 3061
+    for k, ambient, side in sides:
+        orbit = richardson_zero(k, ambient, side)
+        assert orbit == reference_richardson_zero(k, ambient, side), (k, side)
+        assert orbit.parts == memo[k][side]
+    # the same error first, also when both the class and the count are wrong
+    for bad in [("C", 4, (2, 1)), ("C", 6, (2,)), ("B", 5, (3, 2)), ("D", 8, (4, 2, 0)),
+                ("C", 6, (2, 1))]:
+        messages = []
+        for route in (richardson_zero, reference_richardson_zero):
+            with pytest.raises(ValueError) as err:
+                route(*bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], bad
 
 
 def test_membership_examples():
@@ -73,6 +118,20 @@ def test_verify_min_needs_the_candidate_alone_at_the_least_norm(monkeypatch):
     cert = verify_min(m)
     assert cert.candidate.halves == cand and not cert.passed
     assert cand not in cert.shell_minimum[1]
+    # the rival half also patches the side check, which would drop the
+    # rival before the tester sees it
+    real_sides, rival_marked = oracle._lift_sides, split_classes(m.kind, rival)[0]
+
+    def admitting_the_rival(datum, orbits):
+        lifts, accepting, other_orbit = real_sides(datum, orbits)
+
+        def accepting_the_rival(side1):
+            if side1 == rival_marked:
+                return [lift for lift in lifts if lift[1] == 2 * len(side1)]
+            return accepting(side1)
+        return lifts, accepting_the_rival, other_orbit
+
+    monkeypatch.setattr(oracle, "_lift_sides", admitting_the_rival)
     monkeypatch.setattr(oracle, "membership_tester",
                         lambda datum, *rest: lambda pt: pt == rival or real(pt))
     cert = verify_min(m)
@@ -95,26 +154,58 @@ def test_shell_enumerator_against_naive():
                 assert sorted(class_shell(n, bound, parity)) == one_class
 
 
-def test_class_pruned_shell_against_the_whole_shell():
+def _whole_shell_mismatches():
     # the least norm and minimisers over every dominant point of the shell,
-    # each tested by a fresh tester, on every special distinguished datum
-    # through rank 5
-    count = 0
+    # each tested by a fresh `oracle.membership_tester`, against verify_min,
+    # on every special distinguished datum through rank 5
+    count, out = 0, []
     for kind, sizes in verify.type_sizes(5).items():
         for n in sizes:
             for m in verify.iter_special_distinguished(kind, n):
                 count += 1
                 cert = verify_min(m)
-                test = membership_tester(m)
+                test = oracle.membership_tester(m)
                 bound4 = sum(h * h for h in cert.candidate.halves)
                 members = [pt for pt in dominant_shell(size(m.lam) // 2, bound4) if test(pt)]
                 best = min((sum(h * h for h in pt) for pt in members), default=None)
                 found = tuple(sorted((pt for pt in members if sum(h * h for h in pt) == best),
                                      reverse=True))
-                assert cert.shell_minimum == (best, found), str(m)
-                assert cert.passed == (found == (cert.candidate.halves,)
-                                       and best == bound4), str(m)
+                if (cert.shell_minimum != (best, found)
+                        or cert.passed != (found == (cert.candidate.halves,) and best == bound4)):
+                    out.append(str(m))
     assert count == 38
+    return out
+
+
+def test_class_pruned_shell_against_the_whole_shell():
+    assert _whole_shell_mismatches() == []
+
+
+def test_cross_checks_catch_a_side_check_that_drops_the_candidate_lift(monkeypatch):
+    # verify_min's side check drops the lift of the candidate's canonical
+    # split, while the tester that confirms its survivors stays true: the
+    # signature route and the whole shell both see the candidate go missing
+    real_sides, real_tester = oracle._lift_sides, oracle.membership_tester
+
+    def dropping(m, orbits):
+        lifts, accepting, other_orbit = real_sides(m, orbits)
+        nu = canonical_split(m)[0]
+
+        def dropping_the_candidate(side1):
+            return [lift for lift in accepting(side1) if lift[0] != nu]
+        return lifts, dropping_the_candidate, other_orbit
+
+    def true_tester(m, orbits=None):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_lift_sides", real_sides)
+            return real_tester(m, orbits)
+
+    monkeypatch.setattr(oracle, "_lift_sides", dropping)
+    monkeypatch.setattr(oracle, "membership_tester", true_tester)
+    rep = verify.verify_minimality(max_rank=4)
+    checks = {f["check"] for f in rep["failures"]}
+    assert not rep["passed"] and {"shell", "routes disagree"} <= checks
+    assert _whole_shell_mismatches()
 
 
 def test_cross_check_catches_a_class_shell_without_zeros(monkeypatch):
