@@ -16,13 +16,10 @@ from .partitions import (
     EPSILON,
     as_partition,
     format_partition,
-    height,
     is_type,
     is_very_even,
     parse_partition,
     size,
-    union,
-    uparrow,
 )
 from .orbits import DECORATIONS, Orbit
 
@@ -209,13 +206,24 @@ def is_reduced(m):
 
 def is_special_marked(m):
     """No wrong-parity part x with ht_nu(x) odd and ht_lam(x) of the bad parity
-    (odd for B, even for C and D)."""
+    (odd for B, even for C and D).
+
+    One pass over the runs of lam: ht_lam(x) is the index just past x's run,
+    and ht_nu(x) an index into nu that only moves forward."""
+    lam, nu = m.lam, m.nu
     eps = EPSILON[m.kind]
     bad_lam_parity = 1 if m.kind == "B" else 0
-    for x in set(v for v in m.lam if v % 2 == eps):
-        hnu = sum(1 for v in m.nu if v >= x)
-        if hnu % 2 == 1 and height(m.lam, x) % 2 == bad_lam_parity:
-            return False
+    i, k, n = 0, 0, len(lam)
+    while i < n:
+        x, h = lam[i], i + 1
+        while h < n and lam[h] == x:
+            h += 1
+        if x % 2 == eps:
+            while k < len(nu) and nu[k] >= x:
+                k += 1
+            if k % 2 == 1 and h % 2 == bad_lam_parity:
+                return False
+        i = h
     return True
 
 
@@ -239,21 +247,22 @@ def equivalent_markings(m):
     return [tuple(sorted(nu ^ g, reverse=True)) for g in kernel_subgroup(m.lam, m.kind)]
 
 
-def _gamma_norm4(nu, eta):
-    """4 * |rho_plus(nu^ ∪ eta)|^2, for comparing markings of one partition."""
-    total = 0
-    for v in union(uparrow(nu) if nu else (), eta):
-        total += sum(h * h for h in range(v - 1, 0, -2))
-    return total
+def _split_key(nu):
+    """The rank of a marking nu among the markings of one partition lam: the
+    sum over the pairs (a, b) of nu of a(a + 1) - b(b - 1), b = 0 for an odd
+    tail.  Staggering a pair (a, b) to (a + 1, b - 1) raises 4|rho_plus|^2
+    by half that pair's term, so the key is 2 * 4|rho_plus(nu^ ∪ (lam -
+    nu))|^2 less a constant of lam alone: the norm's order, ties included."""
+    return sum(a * (a + 1) for a in nu[::2]) - sum(b * (b - 1) for b in nu[1::2])
 
 
 def canonical_split(m):
     """The split (nu0, eta0) of a distinguished marking: the marking of least
-    weight norm in its Abar-class, with the unmarked rows it leaves."""
+    weight norm in its Abar-class (least `_split_key`), with the unmarked
+    rows it leaves."""
     if not is_distinguished_marked(m):
         raise ValueError("requires distinguished datum")
-    nu0 = min(equivalent_markings(m),
-              key=lambda nu: _gamma_norm4(nu, multiset_difference(m.lam, nu)))
+    nu0 = min(equivalent_markings(m), key=_split_key)
     return nu0, multiset_difference(m.lam, nu0)
 
 

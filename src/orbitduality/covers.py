@@ -19,7 +19,14 @@ from .compgroups import (
     kernel_subgroup,
     multiset_difference,
 )
-from .sommers import _sommers_dual, require_reduced, sat_inverse, sat_la, sommers_dual
+from .sommers import (
+    _sommers_dual,
+    _strip_tuples,
+    require_reduced,
+    sat_inverse,
+    sat_la,
+    sommers_dual,
+)
 from .infchar import _route_pair, nu0_eta0
 
 
@@ -333,7 +340,7 @@ class ChainTable:
         """
         if m in self.entries:
             return []
-        gl, _ = sat_inverse(m)
+        gl, _ = _strip_tuples(m)
         if not gl:
             # the table's data are reduced (`iter_special`), and so are
             # their predecessors, by the reason in `_induce_dual`

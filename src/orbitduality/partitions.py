@@ -113,10 +113,9 @@ def lower_covers(p):
                 j += 1
             if j == len(q) or q[j] != v - 2:
                 continue
-        r = list(q)
-        r[i] -= 1
-        r[j] += 1
-        out.append(tuple(x for x in r if x))
+        # sliced from p: row i keeps v - 1 >= 1 (a row of 1 moves no box),
+        # and q[j] is 0 only for the new row past the last
+        out.append(p[:i] + (v - 1,) + p[i + 1:j] + (q[j] + 1,) + p[j + 1:])
     return out
 
 

@@ -200,19 +200,26 @@ def sat_inverse(m):
     Returns (gl sizes, distinguished core); saturating the core by principal
     gl orbits of the returned sizes restores the input.
     """
-    eps = EPSILON[m.kind]
-    gl = []
-    core_rows = []
-    nu_set = set(m.nu)
-    for v in sorted(set(m.lam), reverse=True):
-        mult = m.lam.count(v)
+    gl, core_lam = _strip_tuples(m)
+    return gl, MarkedPartition(m.kind, core_lam, m.nu)
+
+
+def _strip_tuples(m):
+    """The scan of `sat_inverse`: (gl sizes, core rows), both decreasing
+    tuples, from one pass over the runs of m's rows."""
+    lam, nu, eps = m.lam, m.nu, EPSILON[m.kind]
+    gl, core = (), ()
+    i, n = 0, len(lam)
+    while i < n:
+        v, j = lam[i], i + 1
+        while j < n and lam[j] == v:
+            j += 1
         if v % 2 == eps:
             keep = 0
         else:
-            marked = 1 if v in nu_set else 0
-            keep = marked + (mult - marked) % 2
-        pairs = (mult - keep) // 2
-        gl.extend([v] * pairs)
-        core_rows.extend([v] * keep)
-    core = MarkedPartition(m.kind, tuple(sorted(core_rows, reverse=True)), m.nu)
-    return tuple(sorted(gl, reverse=True)), core
+            marked = 1 if v in nu else 0
+            keep = marked + (j - i - marked) % 2
+        gl += lam[i:i + (j - i - keep) // 2]
+        core += lam[i:i + keep]
+        i = j
+    return gl, core

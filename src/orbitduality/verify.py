@@ -9,8 +9,10 @@ so(13) / sp(12) / so(12) for the duality identities.
 
 import itertools
 from fractions import Fraction
+from operator import ne
 
 from .partitions import (
+    EPSILON,
     collapse,
     dominates,
     enumerate_partitions,
@@ -66,15 +68,35 @@ def iter_reduced_marked(kind, n):
 
 
 def iter_special(kind, n):
+    """The special reduced marked partitions of one type and size, in the
+    order of `iter_reduced_marked`."""
     for m in iter_reduced_marked(kind, n):
         if is_special_marked(m):
             yield m
 
 
+def _may_be_distinguished(kind, lam):
+    """Whether some marking of the typed partition lam can be distinguished:
+    no part of the eps parity and no part three or more times.  A part of
+    the eps parity occurs an even number of times and is never marked, and
+    at most one row of a part is marked, so either kind of part leaves two
+    equal unmarked rows."""
+    eps = EPSILON[kind]
+    return all(v % 2 != eps for v in lam) and all(map(ne, lam, lam[2:]))
+
+
 def iter_special_distinguished(kind, n):
-    for m in iter_special(kind, n):
-        if is_distinguished_marked(m):
-            yield m
+    """The special distinguished reduced marked partitions of one type and
+    size, in the order of `iter_special`.  Only partitions with no part of
+    the eps parity and no part three or more times are marked at all
+    (`_may_be_distinguished`): every marking of any other leaves two equal
+    unmarked rows."""
+    for lam in enumerate_type(kind, n):
+        if _may_be_distinguished(kind, lam):
+            for nu in marking_subsets(markable_parts(lam, kind), kind):
+                m = MarkedPartition(kind, lam, nu)
+                if is_distinguished_marked(m) and is_special_marked(m):
+                    yield m
 
 
 def _data(iterate, max_rank):
@@ -191,7 +213,7 @@ def collapse_maxima(n, kind):
             top = None
             if tops and None not in tops:
                 top = max(tops)
-                if not all(dominates(top, t) for t in tops):
+                if len(tops) > 1 and not all(dominates(top, t) for t in tops):
                     top = None
         maxima[p] = top
         if top is None or collapse(p, kind) != top:
@@ -225,7 +247,12 @@ def _order_by_covers(duals, maxima):
 
 def _order_by_pairs(duals):
     """`order by pairs` records: the reference route of `_order_by_covers`,
-    over every pair of orbits with distinct partitions."""
+    over every pair of orbits with distinct partitions.
+
+    `verify_duality` passes the orbits in `enumerate_orbits`' decreasing lex
+    order, which extends dominance, so a later orbit never strictly
+    dominates an earlier one there and the `elif` direction runs only when
+    the orbits come in another order (the tests reverse the enumeration)."""
     failures = []
     for a, b in itertools.combinations(duals, 2):
         if a.parts == b.parts:

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitduality.partitions import EPSILON, enumerate_type, height
+from orbitduality.partitions import EPSILON, enumerate_type, height, union, uparrow
 from orbitduality.orbits import Orbit, parse_orbit
 from orbitduality import compgroups
 from orbitduality.compgroups import (
@@ -9,7 +9,7 @@ from orbitduality.compgroups import (
     is_distinguished_marked, is_reduced, is_special_marked,
     kernel_subgroup, markable_parts, multiset_difference, parse_marked, span,
 )
-from orbitduality.verify import type_sizes, verify_minimality
+from orbitduality.verify import _data, iter_reduced_marked, type_sizes, verify_minimality
 
 
 def test_group_data_examples():
@@ -155,12 +155,21 @@ def test_lifts_are_the_kernel_coset():
     assert checked > 100
 
 
+def _gamma_norm4(nu, eta):
+    """4 * |rho_plus(nu^ ∪ eta)|^2: the norm `compgroups._split_key` ranks
+    the markings of one partition by, kept as its reference."""
+    total = 0
+    for v in union(uparrow(nu) if nu else (), eta):
+        total += sum(h * h for h in range(v - 1, 0, -2))
+    return total
+
+
 def test_canonical_split_is_the_unique_least_norm_lift():
     checked = 0
     for m in _markings(8):
         if not is_distinguished_marked(m):
             continue
-        norms = sorted((compgroups._gamma_norm4(nu, multiset_difference(m.lam, nu)), nu)
+        norms = sorted((_gamma_norm4(nu, multiset_difference(m.lam, nu)), nu)
                        for nu in equivalent_markings(m))
         assert len(norms) == 1 or norms[0][0] < norms[1][0], m
         assert canonical_split(m) == (norms[0][1], multiset_difference(m.lam, norms[0][1]))
@@ -168,14 +177,45 @@ def test_canonical_split_is_the_unique_least_norm_lift():
     assert checked > 100
 
 
+def test_split_key_is_twice_the_norm_less_a_constant_of_the_class():
+    checked = 0
+    for m in _data(iter_reduced_marked, 12):
+        if not is_distinguished_marked(m):
+            continue
+        offsets = {2 * _gamma_norm4(nu, multiset_difference(m.lam, nu)) - compgroups._split_key(nu)
+                   for nu in equivalent_markings(m)}
+        assert len(offsets) == 1, m
+        checked += 1
+    assert checked == 465
+
+
 def test_minimality_catches_a_wrong_split(monkeypatch):
     # the largest-norm lift gives a weight above the least norm of the
     # admissible set, so the signature route must fail
-    norm4 = compgroups._gamma_norm4
-    monkeypatch.setattr(compgroups, "_gamma_norm4", lambda nu, eta: -norm4(nu, eta))
+    key = compgroups._split_key
+    monkeypatch.setattr(compgroups, "_split_key", lambda nu: -key(nu))
     report = verify_minimality(max_rank=3)
     assert not report["passed"]
     assert {f["check"] for f in report["failures"]} >= {"signature"}
+
+
+def _is_special_by_heights(m):
+    """`is_special_marked` from its definition, two height sums per value:
+    its reference."""
+    eps = EPSILON[m.kind]
+    bad_lam_parity = 1 if m.kind == "B" else 0
+    for x in set(v for v in m.lam if v % 2 == eps):
+        hnu = sum(1 for v in m.nu if v >= x)
+        if hnu % 2 == 1 and height(m.lam, x) % 2 == bad_lam_parity:
+            return False
+    return True
+
+
+def test_special_test_matches_its_height_form():
+    data = _data(iter_reduced_marked, 12)
+    verdicts = [is_special_marked(m) for m in data]
+    assert verdicts == [_is_special_by_heights(m) for m in data]
+    assert len(data) == 6478 and 0 < sum(verdicts) < len(data)
 
 
 def test_lift_classes_partition_markings():

@@ -3,7 +3,7 @@ import pytest
 from orbitduality import sommers, verify
 from orbitduality.cli import main
 from orbitduality.orbits import bvls_dual, parse_orbit
-from orbitduality.compgroups import MarkedPartition, parse_marked
+from orbitduality.compgroups import MarkedPartition, is_distinguished_marked, parse_marked
 from orbitduality.sommers import (
     block_decompose, sat_inverse, sat_la, sommers_dual,
 )
@@ -73,14 +73,14 @@ def test_sat_inverse():
 
 
 def test_sat_round_trips():
-    for kind, n in (("B", 9), ("C", 8), ("D", 8)):
-        for m in iter_reduced_marked(kind, n):
-            gl, core = sat_inverse(m)
-            rebuilt = core
-            for a in sorted(gl, reverse=True):
-                rebuilt = sat_la([(a,)], rebuilt)
-            assert rebuilt.lam == m.lam and rebuilt.nu == m.nu
-            assert rebuilt.kind == kind
+    for m in verify._data(iter_reduced_marked, 10):
+        gl, core = sat_inverse(m)
+        assert is_distinguished_marked(core)
+        rebuilt = core
+        for a in sorted(gl, reverse=True):
+            rebuilt = sat_la([(a,)], rebuilt)
+        assert rebuilt.lam == m.lam and rebuilt.nu == m.nu
+        assert rebuilt.kind == m.kind
 
 
 def test_non_reduced_rejected():

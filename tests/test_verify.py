@@ -5,7 +5,7 @@ import pytest
 
 from orbitduality import covers, sommers, verify
 from orbitduality.cli import main
-from orbitduality.compgroups import MarkedPartition, parse_marked
+from orbitduality.compgroups import MarkedPartition, is_distinguished_marked, parse_marked
 from orbitduality.covers import CoverSpec, MSLift, RigidityFlags
 from orbitduality.infchar import Weight
 from orbitduality.orbits import InducedOrbit, Orbit, enumerate_orbits
@@ -98,6 +98,26 @@ def test_text_output_gives_the_failure_total(monkeypatch, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12 and lines[-1] == "  %d failures (first 10 shown)" % total
+
+
+def _family_mismatches(max_rank):
+    """The (kind, n) through max_rank at which `iter_special_distinguished`
+    is not, as a list, the special data `is_distinguished_marked` keeps."""
+    return [(kind, n) for kind, sizes in verify.type_sizes(max_rank).items() for n in sizes
+            if list(verify.iter_special_distinguished(kind, n))
+            != [m for m in verify.iter_special(kind, n) if is_distinguished_marked(m)]]
+
+
+def test_distinguished_family_is_the_filtered_special_family():
+    assert _family_mismatches(12) == []
+
+
+def test_family_cross_check_rejects_a_prefilter_dropping_doubled_marks(monkeypatch):
+    # a doubled part of the mark parity is distinguished once one row is marked
+    real = verify._may_be_distinguished
+    monkeypatch.setattr(verify, "_may_be_distinguished",
+                        lambda kind, lam: real(kind, lam) and len(set(lam)) == len(lam))
+    assert _family_mismatches(3) == [("B", 5), ("B", 7), ("C", 4)]
 
 
 def test_collapse_maxima_match_brute_force():
@@ -230,7 +250,7 @@ def test_chain_table_rejects_a_dual_taken_without_induction(monkeypatch):
 def test_chain_table_rejects_a_predecessor_without_the_largest_pair(monkeypatch):
     # C:<[]>[2,2,1,1] without its largest pair (2,2) is C:<[]>[1,1], and that
     # step is non-birational; its true last step is gl(1) onto C:<[]>[2,2]
-    real = covers.sat_inverse
+    real = covers._strip_tuples
     target = parse_marked("C:<[]>[2,2,1,1]")
     entered = covers.ChainTable().fill(target)
     assert entered[-1][1].a == 1 and entered[-1][1].induced.birational
@@ -239,7 +259,7 @@ def test_chain_table_rejects_a_predecessor_without_the_largest_pair(monkeypatch)
         gl, core = real(m)
         return gl[::-1], core
 
-    monkeypatch.setattr(covers, "sat_inverse", largest_last)
+    monkeypatch.setattr(covers, "_strip_tuples", largest_last)
     assert not covers.ChainTable().fill(target)[-1][1].induced.birational
     report = verify.verify_gamma_group(max_rank=3)
     assert {"check": "chain", "datum": str(target),
