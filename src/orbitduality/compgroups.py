@@ -206,13 +206,18 @@ def is_reduced(m):
 
 def is_special_marked(m):
     """No wrong-parity part x with ht_nu(x) odd and ht_lam(x) of the bad parity
-    (odd for B, even for C and D).
+    (odd for B, even for C and D)."""
+    return _is_special(m.kind, m.lam, m.nu)
+
+
+def _is_special(kind, lam, nu):
+    """`is_special_marked` on the decreasing tuples of a datum, for callers
+    that test before they build it.
 
     One pass over the runs of lam: ht_lam(x) is the index just past x's run,
     and ht_nu(x) an index into nu that only moves forward."""
-    lam, nu = m.lam, m.nu
-    eps = EPSILON[m.kind]
-    bad_lam_parity = 1 if m.kind == "B" else 0
+    eps = EPSILON[kind]
+    bad_lam_parity = 1 if kind == "B" else 0
     i, k, n = 0, 0, len(lam)
     while i < n:
         x, h = lam[i], i + 1

@@ -244,10 +244,12 @@ class MSLift:
 PSEUDO_LEVI = {"B": ("D", "B"), "C": ("C", "C"), "D": ("D", "D")}
 
 
-def ms_lift(m):
+def ms_lift(m, splits=None):
     """Sat-route of the pseudo-Levi pair: the minimal split of the core with
-    one row pair per stripped gl factor, routed by parity."""
-    nu0, eta0 = nu0_eta0(m)
+    one row pair per stripped gl factor, routed by parity.  `splits` is the
+    core-split memo of `infchar._core_split`; a run that compares this
+    route with `oracle.richardson_pair` gives each its own."""
+    nu0, eta0 = nu0_eta0(m, splits)
     k1, k2 = PSEUDO_LEVI[m.kind]
     return MSLift(Orbit(k1, size(nu0), nu0), Orbit(k2, size(eta0), eta0))
 

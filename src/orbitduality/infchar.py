@@ -10,8 +10,8 @@ the coordinate product.
 from dataclasses import dataclass
 
 from .partitions import EPSILON, as_partition, size, transpose, union, uparrow
-from .compgroups import MARK_PARITY, canonical_split
-from .sommers import DUAL_KIND, sat_inverse
+from .compgroups import MARK_PARITY, MarkedPartition, canonical_split
+from .sommers import DUAL_KIND, _strip_tuples
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,24 @@ def gamma_rigid_cover(orbit):
     return Weight(orbit.kind, rho_plus(parts, orbit.ambient // 2))
 
 
-def _core_split(m):
+def _core_split(m, splits=None):
     """(stripped gl sizes, nu0, eta0): the canonical split of the
-    distinguished core of a marked datum."""
-    gl, core = sat_inverse(m)
-    return (gl,) + canonical_split(core)
+    distinguished core of a marked datum.
+
+    `splits` memoizes the split of each core as {(kind, core rows, marks):
+    (nu0, eta0)}, for one run of one route: many data strip to one core.
+    None means a fresh memo.  The core rows come from the scan of
+    `sat_inverse`, and the core is built, validated and split only when its
+    key is missing."""
+    gl, core = _strip_tuples(m)
+    if splits is None:
+        splits = {}
+    key = (m.kind, core, m.nu)
+    split = splits.get(key)
+    if split is None:
+        split = canonical_split(MarkedPartition(m.kind, core, m.nu))
+        splits[key] = split
+    return (gl,) + split
 
 
 def _route_pair(kind, split, a):
@@ -123,20 +136,22 @@ def _route_pair(kind, split, a):
     return union(nu0, (a, a)), eta0
 
 
-def nu0_eta0(m):
+def nu0_eta0(m, splits=None):
     """Minimal-weight split of a marked partition: the split of its
-    distinguished core extended by one routed pair per stripped gl factor."""
-    gl, nu0, eta0 = _core_split(m)
+    distinguished core extended by one routed pair per stripped gl factor.
+    `splits` is the core-split memo of `_core_split`."""
+    gl, nu0, eta0 = _core_split(m, splits)
     split = nu0, eta0
     for a in gl:
         split = _route_pair(m.kind, split, a)
     return split
 
 
-def gamma_la(m):
+def gamma_la(m, splits=None):
     """Infinitesimal character of a marked datum: positive string entries of
-    the staggered core split plus one full string per stripped gl factor."""
-    gl, nu0, eta0 = _core_split(m)
+    the staggered core split plus one full string per stripped gl factor.
+    `splits` is the core-split memo of `_core_split`."""
+    gl, nu0, eta0 = _core_split(m, splits)
     parts = union(uparrow(nu0) if nu0 else (), eta0)
     for a in gl:
         parts = union(parts, (a, a))

@@ -319,16 +319,31 @@ def signature_minimum(m):
     return best, tuple(sorted(found, reverse=True))
 
 
-def richardson_pair(m):
+def richardson_pair(m, splits=None, orbits=None):
     """The pseudo-Levi orbit pair read off from the weight of a marked datum:
     split the coordinates by congruence class and induce from zero in the
     Levi each class singles out.  For special data this reproduces the
-    saturation route computed in the covers module."""
-    k1, k2 = PSEUDO_LEVI[m.kind]
-    side1, side2 = split_classes(m.kind, gamma_la(m).halves)
-    n1 = 2 * len(side1)
-    n2 = 2 * len(side2) + (1 if m.kind == "B" else 0)
-    return richardson_zero(k1, n1, side1), richardson_zero(k2, n2, side2)
+    saturation route computed in the covers module.
+
+    Two memos serve one run of this route, and neither may feed the route
+    it is compared with: `splits`, the core-split memo of the weight
+    (`infchar._core_split`), and `orbits`, which maps (factor kind, whole
+    side vector) to the side's Richardson orbit; the ambient size follows
+    from the two (twice the side's length, plus one for a type-B factor).
+    None means a fresh memo.  The key is never the side's
+    multiplicity signature."""
+    if orbits is None:
+        orbits = {}
+    side1, side2 = split_classes(m.kind, gamma_la(m, splits).halves)
+    pair = []
+    for k, side in zip(PSEUDO_LEVI[m.kind], (side1, side2)):
+        key = (k, side)
+        orbit = orbits.get(key)
+        if orbit is None:
+            orbit = richardson_zero(k, 2 * len(side) + (1 if k == "B" else 0), side)
+            orbits[key] = orbit
+        pair.append(orbit)
+    return tuple(pair)
 
 
 def dominant_shell_naive(n, bound4):

@@ -26,6 +26,7 @@ from .partitions import (
 from .orbits import Orbit, bvls_dual, enumerate_orbits
 from .compgroups import (
     MarkedPartition,
+    _is_special,
     abar_rank,
     group_data,
     is_distinguished_marked,
@@ -69,10 +70,12 @@ def iter_reduced_marked(kind, n):
 
 def iter_special(kind, n):
     """The special reduced marked partitions of one type and size, in the
-    order of `iter_reduced_marked`."""
-    for m in iter_reduced_marked(kind, n):
-        if is_special_marked(m):
-            yield m
+    order of `iter_reduced_marked`.  Each marking is tested on its tuples
+    (`compgroups._is_special`), so only the data yielded are built."""
+    for lam in enumerate_type(kind, n):
+        for nu in marking_subsets(markable_parts(lam, kind), kind):
+            if _is_special(kind, lam, nu):
+                yield MarkedPartition(kind, lam, nu)
 
 
 def _may_be_distinguished(kind, lam):
@@ -347,14 +350,16 @@ def verify_rigidity(max_rank=5):
 CHAIN_CROSS_CHECK_RANK = 6
 
 
-def _chain_differences(m, table, last):
-    """The fields in which `saturation_chain(m)` and `nu0_eta0(m)` differ
-    from m's entry in the table and its last step `last`."""
+def _chain_differences(m, table, last, splits):
+    """The fields in which `saturation_chain(m)` and `nu0_eta0(m, splits)`
+    differ from m's entry in the table and its last step `last`.  `splits`
+    is the core-split memo of the reference route alone: the table never
+    reads it."""
     core_dual, steps = saturation_chain(m)
     entry = table.entries[m]
     walked = {"core dual": core_dual, "rank": chain_rank(core_dual, steps),
               "degree": chain_degree(core_dual, steps),
-              "last step": steps[-1] if steps else None, "split": nu0_eta0(m)}
+              "last step": steps[-1] if steps else None, "split": nu0_eta0(m, splits)}
     tabled = {"core dual": table.entries[sat_inverse(m)[1]].dual, "rank": entry.rank,
               "degree": 2 ** entry.degree_log2, "last step": last, "split": entry.split}
     return [field for field in walked if walked[field] != tabled[field]]
@@ -369,10 +374,11 @@ def verify_gamma_group(max_rank=5):
     The chains come from one `ChainTable`, so each step is checked once,
     under the datum whose last step it is, predecessors below the suite's
     sizes included.  Through CHAIN_CROSS_CHECK_RANK every datum's chain is
-    walked again by `saturation_chain`, the reference (`chain` records)."""
+    walked again by `saturation_chain`, the reference (`chain` records),
+    whose splits come from a core-split memo of its own."""
     failures = []
     data = _data(iter_special, max_rank)
-    table = ChainTable()
+    table, splits = ChainTable(), {}
     for m in data:
         # the data come in increasing size, so m is entered last
         entered = table.fill(m)
@@ -394,7 +400,7 @@ def verify_gamma_group(max_rank=5):
         if not m.nu and entry.degree_log2 != abar_rank(m.lam, m.kind):
             failures.append(_failure("galois degree", m, degree=2 ** entry.degree_log2))
         if size(m.lam) // 2 <= CHAIN_CROSS_CHECK_RANK:
-            differs = _chain_differences(m, table, entered[-1][1])
+            differs = _chain_differences(m, table, entered[-1][1], splits)
             if differs:
                 failures.append(_failure("chain", m, differs=differs))
     return _report("galois group ranks", len(data), failures)
@@ -403,12 +409,19 @@ def verify_gamma_group(max_rank=5):
 def verify_richardson(max_rank=5):
     """The orbit pair from the weight coordinates equals the saturation-route
     pair for every special datum, and fails on the non-special witness in the
-    documented direction."""
+    documented direction.
+
+    Each route has its own memos for the run, so each core is split and
+    each side vector's orbit computed once per route, and no memo feeds
+    both sides of the comparison: the weight route (`richardson_pair`)
+    keeps a core-split memo and a Richardson-orbit memo, the saturation
+    route (`ms_lift`) a core-split memo.  The witness runs without them."""
     failures = []
     data = _data(iter_special, max_rank)
+    weight_splits, weight_orbits, saturation_splits = {}, {}, {}
     for m in data:
-        lift = ms_lift(m)
-        first, second = richardson_pair(m)
+        lift = ms_lift(m, saturation_splits)
+        first, second = richardson_pair(m, weight_splits, weight_orbits)
         if (first.parts, second.parts) != (lift.factor1.parts, lift.factor2.parts):
             failures.append(_failure("richardson", m, weight_pair=[str(first), str(second)],
                                      saturation_pair=[str(lift.factor1), str(lift.factor2)]))

@@ -14,6 +14,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
 
 
+def test_verify_all_at_rank_8_prints_the_recorded_report(capsys):
+    """`--json verify all --max-rank 8` prints BENCH_9.json byte for byte:
+    the same checks, counts and records.  Once the report carries `seconds`
+    (ROADMAP item 1), this comparison must skip those fields."""
+    assert main(["--json", "verify", "all", "--max-rank", "8"]) == 0
+    assert capsys.readouterr().out.encode() == (README.parent / "BENCH_9.json").read_bytes()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()

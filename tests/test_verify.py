@@ -5,9 +5,12 @@ import pytest
 
 from orbitduality import covers, sommers, verify
 from orbitduality.cli import main
-from orbitduality.compgroups import MarkedPartition, is_distinguished_marked, parse_marked
-from orbitduality.covers import CoverSpec, MSLift, RigidityFlags
-from orbitduality.infchar import Weight
+from orbitduality.compgroups import (
+    MarkedPartition, is_distinguished_marked, is_special_marked, parse_marked,
+)
+from orbitduality.covers import CoverSpec, MSLift, RigidityFlags, ms_lift
+from orbitduality.infchar import Weight, gamma_la, nu0_eta0
+from orbitduality.oracle import richardson_pair
 from orbitduality.orbits import InducedOrbit, Orbit, enumerate_orbits
 from orbitduality.partitions import enumerate_partitions, enumerate_type, lower_covers
 
@@ -59,7 +62,8 @@ BREAKS = {
     "duality": ("bvls_dual", lambda o: o),
     "rigidity": ("rigidity", lambda base, sub: RigidityFlags(False, True)),
     "gamma-group": ("_pair_abar_rank", lambda kind, split: -1),
-    "richardson": ("ms_lift", lambda m: MSLift(Orbit("B", 1, (1,)), Orbit("B", 1, (1,)))),
+    "richardson": ("ms_lift", lambda m, splits=None: MSLift(Orbit("B", 1, (1,)),
+                                                            Orbit("B", 1, (1,)))),
     "tables": ("gamma_la", _wrong_weight),
     "kernel": ("abar_rank", lambda lam, kind: -1),
 }
@@ -118,6 +122,63 @@ def test_family_cross_check_rejects_a_prefilter_dropping_doubled_marks(monkeypat
     monkeypatch.setattr(verify, "_may_be_distinguished",
                         lambda kind, lam: real(kind, lam) and len(set(lam)) == len(lam))
     assert _family_mismatches(3) == [("B", 5), ("B", 7), ("C", 4)]
+
+
+def test_special_family_is_the_built_then_filtered_family():
+    # every (kind, n) through rank 12, as lists: testing each marking before
+    # it is built keeps the same data in the same order
+    for kind, sizes in verify.type_sizes(12).items():
+        for n in sizes:
+            assert list(verify.iter_special(kind, n)) == [
+                m for m in verify.iter_reduced_marked(kind, n) if is_special_marked(m)], (kind, n)
+
+
+def test_per_run_memos_give_the_plain_results():
+    # one memo of each kind shared by every special datum through rank 10
+    data = verify._data(verify.iter_special, 10)
+    splits, weight_splits, orbits = {}, {}, {}
+    for m in data:
+        assert nu0_eta0(m, splits) == nu0_eta0(m)
+        assert gamma_la(m, splits) == gamma_la(m)
+        assert ms_lift(m, splits) == ms_lift(m)
+        assert richardson_pair(m, weight_splits, orbits) == richardson_pair(m)
+    # the memos were read, not only filled
+    assert len(splits) == len(weight_splits) < len(data)
+    assert len(orbits) < 2 * len(data)
+
+
+class ForgetfulMemo(dict):
+    """A memo that stores and looks up each key by `forget(key)` alone."""
+
+    def __init__(self, forget):
+        super().__init__()
+        self.forget = forget
+
+    def get(self, key, default=None):
+        return super().get(self.forget(key), default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self.forget(key), value)
+
+
+def test_richardson_rejects_a_saturation_split_memo_keyed_without_marks(monkeypatch):
+    # one memo for the whole call; C:<[]>[4,2] is split before C:<[2]>[4,2]
+    real, memo = verify.ms_lift, ForgetfulMemo(lambda key: key[:2])
+    monkeypatch.setattr(verify, "ms_lift",
+                        lambda m, splits=None: real(m, None if splits is None else memo))
+    report = verify.verify_richardson(max_rank=3)
+    assert {f["check"] for f in report["failures"]} == {"richardson"}
+    assert "C:<[2]>[4,2]" in {f["datum"] for f in report["failures"]}
+
+
+def test_richardson_rejects_a_weight_orbit_memo_keyed_by_side_length(monkeypatch):
+    real, memo = verify.richardson_pair, ForgetfulMemo(lambda key: len(key[1]))
+    monkeypatch.setattr(verify, "richardson_pair",
+                        lambda m, splits=None, orbits=None:
+                        real(m, splits, None if orbits is None else memo))
+    report = verify.verify_richardson(max_rank=5)
+    assert report["failures"]
+    assert {f["check"] for f in report["failures"]} == {"richardson"}
 
 
 def test_collapse_maxima_match_brute_force():
