@@ -232,9 +232,25 @@ def build_parser():
     p.add_argument("partition")
     p.set_defaults(fn=_cmd_collapse)
 
-    p = sub.add_parser("transpose", help="transpose a partition")
-    p.add_argument("partition")
-    p.set_defaults(fn=_cmd_transpose)
+    for verb, fn, help_text, arg, arg_help in (
+            ("transpose", _cmd_transpose, "transpose a partition", "partition", None),
+            ("bvls-dual", _cmd_bvls_dual, "duality on orbits", "orbit",
+             "e.g. B:[5,3,1] or D:[2,2]I"),
+            ("group", _cmd_group, "component group data of an orbit", "orbit", None),
+            ("markable", _cmd_markable, "markable parts and quotient rank", "orbit", None),
+            ("gamma", _cmd_gamma, "weight of a marked datum", "marked", None),
+            ("gamma-cover", _cmd_gamma_cover, "weight of a rigid cover of an orbit",
+             "orbit", None),
+            ("gamma-group", _cmd_gamma_group, "both Galois-group rank computations",
+             "marked", None),
+            ("ms-lift", _cmd_ms_lift, "pseudo-Levi orbit pair of a marked datum",
+             "marked", None),
+            ("d-map", _cmd_d_map, "dual cover of a marked datum", "marked", None),
+            ("table", _cmd_table, "print an exceptional table", "group",
+             "g2, f4, e6, e7, e8, gamma-g2, ..., gamma-e8")):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument(arg, help=arg_help)
+        p.set_defaults(fn=fn)
 
     for verb, fn, help_text in (
             ("induce", _cmd_induce, "induce an orbit from a Levi"),
@@ -245,47 +261,11 @@ def build_parser():
         p.add_argument("--kind", choices=["B", "C", "D"])
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("bvls-dual", help="duality on orbits")
-    p.add_argument("orbit", help="e.g. B:[5,3,1] or D:[2,2]I")
-    p.set_defaults(fn=_cmd_bvls_dual)
-
     p = sub.add_parser("sommers-dual", help="duality on marked partitions")
     p.add_argument("marked", help="e.g. B:<[5,1]>[5,3,1]")
     p.add_argument("--route", default="general",
                    choices=["general", "distinguished", "blocks"])
     p.set_defaults(fn=_cmd_sommers_dual)
-
-    p = sub.add_parser("group", help="component group data of an orbit")
-    p.add_argument("orbit")
-    p.set_defaults(fn=_cmd_group)
-
-    p = sub.add_parser("markable", help="markable parts and quotient rank")
-    p.add_argument("orbit")
-    p.set_defaults(fn=_cmd_markable)
-
-    p = sub.add_parser("gamma", help="weight of a marked datum")
-    p.add_argument("marked")
-    p.set_defaults(fn=_cmd_gamma)
-
-    p = sub.add_parser("gamma-cover", help="weight of a rigid cover of an orbit")
-    p.add_argument("orbit")
-    p.set_defaults(fn=_cmd_gamma_cover)
-
-    p = sub.add_parser("gamma-group", help="both Galois-group rank computations")
-    p.add_argument("marked")
-    p.set_defaults(fn=_cmd_gamma_group)
-
-    p = sub.add_parser("ms-lift", help="pseudo-Levi orbit pair of a marked datum")
-    p.add_argument("marked")
-    p.set_defaults(fn=_cmd_ms_lift)
-
-    p = sub.add_parser("d-map", help="dual cover of a marked datum")
-    p.add_argument("marked")
-    p.set_defaults(fn=_cmd_d_map)
-
-    p = sub.add_parser("table", help="print an exceptional table")
-    p.add_argument("group", help="g2, f4, e6, e7, e8, gamma-g2, ..., gamma-e8")
-    p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=list(verify.SUITES) + ["all"])

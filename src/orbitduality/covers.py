@@ -115,9 +115,9 @@ def phi_data(lam, kind, m):
     this matches the two component groups generator-for-generator except when
     row m has the unconstrained parity and the gap below it is exactly 2, in
     which case the removed value falls onto the value just below the cut (or
-    onto the identity when nothing lies below).  Returns (kernel, mapping),
-    the mapping sending each distinct value of lam^eps to the support of its
-    image in A(O_lam0).
+    onto the identity when nothing lies below).  Returns the mapping, which
+    sends each distinct value of lam^eps to the support of its image in
+    A(O_lam0).
     """
     if m not in singular_rows(lam):
         raise ValueError("row %d is not singular in %s" % (m, lam))
@@ -133,9 +133,7 @@ def phi_data(lam, kind, m):
     for v, img in mapping.items():
         if img and not img <= vals0:
             raise AssertionError("phi image %s not a generator of %s" % (set(img), lam0))
-    kernel = frozenset(g for g in a_group_elements(Orbit(kind, size(lam), lam))
-                       if not _apply_map(mapping, g))
-    return kernel, mapping
+    return mapping
 
 
 def _apply_map(mapping, element):
@@ -222,7 +220,7 @@ def d_map(m):
 def _transport_subgroup(big, a, subgroup):
     """Pull a subgroup of A(small) back to A(big), where big is small plus
     two columns of length a, added birationally and with no collapse."""
-    kernel, mapping = phi_data(big.parts, big.kind, a)
+    mapping = phi_data(big.parts, big.kind, a)
     return frozenset(g for g in a_group_elements(big)
                      if _apply_map(mapping, g) in subgroup)
 

@@ -55,12 +55,9 @@ def _eliminate(rows):
 
     Each step takes the first row at or below the current one with a nonzero
     entry in the next column, swaps it up, scales it to a leading 1 and clears
-    that column in every other row.  Returns (reduced rows, pivots), one pivot
-    (row, column, entry) per step: the row it was found in before the swap and
-    its entry before scaling.
+    that column in every other row.  Returns the reduced rows.
     """
     a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
     r = 0
     for col in range(len(a[0]) if a else 0):
         piv = next((i for i in range(r, len(a)) if a[i][col]), None)
@@ -68,30 +65,20 @@ def _eliminate(rows):
             continue
         a[r], a[piv] = a[piv], a[r]
         entry = a[r][col]
-        pivots.append((piv, col, entry))
         a[r] = [x / entry for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][col]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
-    return a, pivots
+    return a
 
 
 def _invert(matrix):
     n = len(matrix)
-    reduced, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(matrix)])
+    reduced = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(matrix)])
     return [row[n:] for row in reduced]
-
-
-def _is_positive_definite(g):
-    """A symmetric matrix is positive definite exactly when elimination finds
-    every pivot on the diagonal, without a swap, and positive: the pivots
-    are the ratios of consecutive leading principal minors."""
-    _, pivots = _eliminate(g)
-    return (len(pivots) == len(g)
-            and all(row == col and entry > 0 for row, col, entry in pivots))
 
 
 def gram_matrix(group):
@@ -142,14 +129,46 @@ def tables_dir():
     return os.path.join(os.path.dirname(__file__), "tables")
 
 
+# The keys that every row of a group's table and of its Galois table holds.
+_ROW_KEYS = ("dual", "entries", "gamma", "gamma_d")
+_GAMMA_ROW_KEYS = ("dual", "m_orbit", "r", "r_orbits", "ranks", "gamma_group")
+
+
 def load_table(group):
-    with open(os.path.join(tables_dir(), group.lower() + ".json")) as fh:
-        return json.load(fh)
+    return _load(group, group.lower() + ".json", _ROW_KEYS)
 
 
 def load_gamma_table(group):
-    with open(os.path.join(tables_dir(), "gamma_" + group.lower() + ".json")) as fh:
-        return json.load(fh)
+    return _load(group, "gamma_" + group.lower() + ".json", _GAMMA_ROW_KEYS)
+
+
+def _load(group, name, keys):
+    """One table file, its shape checked: an object whose "rows" is a list
+    of objects holding `keys`, every weight with one coordinate per simple
+    root.  Any other shape is a ValueError naming the file and the row."""
+    path = os.path.join(tables_dir(), name)
+    with open(path) as fh:
+        table = json.load(fh)
+    rows = table.get("rows") if isinstance(table, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("%s: a table is an object with a list of rows" % path)
+    rank = len(_CARTAN[group])
+    for i, row in enumerate(rows):
+        where = "%s rows[%d]" % (path, i)
+        if not (isinstance(row, dict) and all(key in row for key in keys)):
+            raise ValueError("%s: a row is an object with %s" % (where, ", ".join(keys)))
+        if "entries" not in keys:
+            continue
+        entries = row["entries"]
+        if not (isinstance(entries, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+            raise ValueError("%s: entries are [label, weight] pairs" % where)
+        for text in [row["gamma"], row["gamma_d"]] + [e[1] for e in entries]:
+            # `parse_gamma` reads one coordinate per comma-separated field
+            if not isinstance(text, str) or text.count(",") + 1 != rank:
+                raise ValueError("%s: weight %r does not have %d coordinates"
+                                 % (where, text, rank))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +517,3 @@ def verify_shell_minimality(group):
                     break
     return {"group": group, "checked": checked, "failures": failures,
             "passed": not failures}
-
-
-def self_check():
-    """Sanity of the generated root systems and the Gram matrices: each group
-    has its known number of positive roots, from its Cartan matrix and from
-    the transpose; the coroots are the positive roots of the transpose;
-    every root pairs to 2 with its own coroot; every Gram matrix is positive
-    definite.  Returns False on a mismatch."""
-    counts = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
-    for group in GROUPS:
-        cartan = _CARTAN[group]
-        n = len(cartan)
-        roots = positive_roots(group)
-        dual = _root_strings([list(col) for col in zip(*cartan)])
-        if (not len(roots) == len(dual) == counts[group]
-                or {r.coroot for r in roots} != set(dual)
-                or any(sum(r.simple[a] * cartan[a][b] * r.coroot[b]
-                           for a in range(n) for b in range(n)) != 2 for r in roots)):
-            return False
-    return all(_is_positive_definite(gram_matrix(group)) for group in GROUPS)

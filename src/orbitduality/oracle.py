@@ -279,10 +279,15 @@ def signature_minimiser(mults, zeros, parity):
 
 @lru_cache(maxsize=None)
 def _side_table(kind, ambient, parity):
-    """{Richardson orbit: (least norm times 4, dominant minimisers)} over the
-    coordinates of one congruence class, for the factor of this kind and
-    ambient size.  The orbit depends on the signature alone, so one vector
-    per signature decides.  Shared by every caller: read it, never write."""
+    """{Richardson orbit: (least norm times 4, its dominant minimiser)} over
+    the coordinates of one congruence class, for the factor of this kind
+    and ambient size.  The orbit depends on the signature alone, so one
+    vector per signature decides.  Shared by every caller: read it, never
+    write.
+
+    No two signatures tie at an orbit's least norm for any kind and class
+    at ambient size at most 61, but nothing proves it: a tie is a
+    ValueError naming the factor, the class and the orbit."""
     table = {}
     for mults, zeros in signatures(ambient // 2, parity):
         halves = signature_minimiser(mults, zeros, parity)
@@ -290,9 +295,10 @@ def _side_table(kind, ambient, parity):
         norm4 = sum(h * h for h in halves)
         best = table.get(orbit)
         if best is None or norm4 < best[0]:
-            table[orbit] = (norm4, (halves,))
+            table[orbit] = (norm4, halves)
         elif norm4 == best[0]:
-            table[orbit] = (norm4, best[1] + (halves,))
+            raise ValueError("%s and %s tie at least norm %d/4 for the orbit %s of %s(%d), "
+                             "class %d" % (best[1], halves, norm4, orbit, kind, ambient, parity))
     return table
 
 
@@ -300,7 +306,22 @@ def signature_minimum(m):
     """(least norm times 4, dominant minimisers) of the admissible set of a
     distinguished datum, with no shell: the minimum over the lift markings
     of the two sides' minima, since a weight is a member for a lift exactly
-    when each congruence class has a signature that side accepts."""
+    when each congruence class has a signature that side accepts.
+
+    No lift is missing from `_side_table`.  A distinguished datum has no
+    part of the eps parity (it would be unmarked twice), so nu holds
+    distinct parts of the mark parity (an even number in types B and D) and
+    eta parts of the other.  A signature (mults, zeros) gives the rows
+    2 mu_j + 1 for j <= r and 2 mu_j after, mu the transpose of mults and r
+    the residual column, whose collapse is its orbit.  Each side is such an
+    orbit.  Type-C nu and eta (even parts): the parts are the rows, with no
+    zeros.  Type-B and type-D eta (odd parts): the parts are the rows, r
+    their count.  Type-B and type-D nu (odd a_1 > ... > a_2k, on a type-D
+    factor): the rows a_1 + 1, a_2 - 1, a_3 + 1, ...  A type-D partition
+    between nu and them in dominance is nu with some row pairs (a, b) at
+    rows (2i - 1, 2i) raised to (a + 1, b - 1); the even row a + 1 needs
+    pair i - 1 raised to repeat, down to the first row, which is never
+    repeated.  So nu is the only one, and it is their D-collapse."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
     parity = MARK_PARITY[m.kind]
@@ -308,14 +329,12 @@ def signature_minimum(m):
     best, found = None, set()
     for nu in equivalent_markings(m):
         eta = multiset_difference(m.lam, nu)
-        norm1, side1 = _side_table(k1, size(nu), parity).get(nu, (None, ()))
-        norm2, side2 = _side_table(k2, size(eta), 1 - parity).get(eta, (None, ()))
-        if norm1 is None or norm2 is None:
-            continue
+        norm1, side1 = _side_table(k1, size(nu), parity)[nu]
+        norm2, side2 = _side_table(k2, size(eta), 1 - parity)[eta]
         if best is None or norm1 + norm2 < best:
             best, found = norm1 + norm2, set()
         if norm1 + norm2 == best:
-            found.update(tuple(sorted(a + b, reverse=True)) for a in side1 for b in side2)
+            found.add(tuple(sorted(side1 + side2, reverse=True)))
     return best, tuple(sorted(found, reverse=True))
 
 
@@ -344,17 +363,3 @@ def richardson_pair(m, splits=None, orbits=None):
             orbits[key] = orbit
         pair.append(orbit)
     return tuple(pair)
-
-
-def dominant_shell_naive(n, bound4):
-    """Nested-loop reference enumerator for testing the recursion of
-    `dominant_shell`; both are test references for `class_shell`, not
-    package API."""
-    top = 0
-    while top * top <= bound4:
-        top += 1
-    pts = []
-    for tup in itertools.product(range(top), repeat=n):
-        if all(tup[i] >= tup[i + 1] for i in range(n - 1)) and sum(h * h for h in tup) <= bound4:
-            pts.append(tup)
-    return sorted(pts)

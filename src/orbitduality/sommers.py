@@ -15,6 +15,7 @@ from .partitions import (
     collapse,
     drop_box,
     drop_column_box,
+    format_partition,
     is_type,
     join,
     size,
@@ -116,22 +117,36 @@ def _block_type(kind, index):
     return kind
 
 
-def _is_basic_or_unmarked(kind, block_kind, lam, nu, last):
-    """A block is admissible when unmarked, or when its marks are exactly the
-    smallest part together with the largest part of markable height (in type C
-    the latter alone is allowed in the final block)."""
+def _is_basic_or_unmarked(m, block_kind, lam, nu, last):
+    """A block of the datum m is admissible when unmarked, or when its marks
+    are exactly the smallest part together with the largest part of
+    markable height (in type C the latter alone is allowed in the final
+    block).
+
+    A marked block of a reduced datum has its marks as markable parts.  It
+    spans whole runs of values after the rows of the blocks before it, an
+    even number of rows (a type-D block has even size, so its odd parts and
+    its even parts pair up; a type-C block before the last is even by
+    `_valid_block`), but odd after the type-B first block of a type-B datum,
+    which has odd size.  So a mark keeps the parity of its height, or in the
+    type-D blocks of a type-B datum flips it from the odd that type B asks
+    to the even that type D asks.  A marked block with no markable part thus
+    means a datum that is not reduced, which the public entry points reject;
+    here it is a ValueError naming it."""
     if not nu:
         return True
     markables = markable_parts(lam, block_kind)
     if not markables:
-        return False
+        raise ValueError("%s is not reduced: the marks %s of its block %s are not markable"
+                         % (m, format_partition(nu), format_partition(lam)))
     top = markables[0]
-    if kind == "C" and len(nu) == 1:
+    if m.kind == "C" and len(nu) == 1:
         return last and nu == (top,)
     return len(nu) == 2 and nu[0] == top and nu[1] == lam[-1]
 
 
-def _valid_block(kind, index, lam, nu, last):
+def _valid_block(m, index, lam, nu, last):
+    kind = m.kind
     block_kind = _block_type(kind, index)
     if not is_type(lam, block_kind):
         return False
@@ -139,7 +154,7 @@ def _valid_block(kind, index, lam, nu, last):
         return False
     if kind == "C" and not last and len(nu) % 2 == 1:
         return False
-    return _is_basic_or_unmarked(kind, block_kind, lam, nu, last)
+    return _is_basic_or_unmarked(m, block_kind, lam, nu, last)
 
 
 def block_decompose(m):
@@ -170,7 +185,7 @@ def _block_tuples(m):
         for stop in range(start + 1, count + 1):
             block_lam = lam[cuts[start]:cuts[stop]]
             block_nu = tuple(v for v in nu if block_lam[-1] <= v <= block_lam[0])
-            if _valid_block(kind, index, block_lam, block_nu, stop == count):
+            if _valid_block(m, index, block_lam, block_nu, stop == count):
                 break
         else:
             raise ValueError("no block decomposition found for %s" % (m,))

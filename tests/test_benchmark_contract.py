@@ -7,6 +7,7 @@ or a dropped keyword argument fails here too.
 
 import ast
 import contextlib
+import glob
 import importlib
 import io
 import inspect
@@ -16,8 +17,9 @@ import os
 from orbitduality import oracle, verify
 from orbitduality.cli import main
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+PACKAGE = os.path.join(ROOT, "src", "orbitduality")
 
 
 def _resolve(name):
@@ -102,3 +104,44 @@ def test_minimality_runs_under_a_counting_tester(monkeypatch):
     monkeypatch.setattr(oracle, "membership_tester", counted)
     rep = verify.verify_minimality(max_rank=4)
     assert rep["passed"] and calls
+
+
+def _references(top):
+    """The names a top-level statement refers to: every name, attribute and
+    imported name in it, less the name it defines.  Docstrings are strings,
+    so they refer to nothing."""
+    own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name != own:
+            yield name
+
+
+def test_every_public_function_is_used_by_the_package():
+    """A public function or class that no package code refers to is
+    test-only or dead code, unless the benchmark uses it: the layer map
+    names it, or perfbench/workloads.py imports it."""
+    pinned = {tuple(name.split(".")) for name in _layer_map_names()}
+    pinned |= {(node.module.rpartition(".")[2], alias.name)
+               for node in _workloads_tree().body
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("orbitduality")
+               for alias in node.names}
+    defined, referenced = [], set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.basename(path)[:-len(".py")]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined.append((module, top.name))
+            referenced.update(_references(top))
+    assert len(defined) > 100 and pinned
+    unused = [".".join(d) for d in defined if d[1] not in referenced and d not in pinned]
+    assert unused == []

@@ -225,6 +225,26 @@ def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli._parser()
 
 
+# each verb that takes one positional argument and no option -> its name
+ONE_ARGUMENT_VERBS = {
+    "transpose": "partition", "bvls-dual": "orbit", "group": "orbit", "markable": "orbit",
+    "gamma": "marked", "gamma-cover": "orbit", "gamma-group": "marked", "ms-lift": "marked",
+    "d-map": "marked", "table": "group",
+}
+
+
+def test_one_argument_verbs_keep_their_argument_and_handler():
+    parser = cli.build_parser()
+    for verb, dest in ONE_ARGUMENT_VERBS.items():
+        args = parser.parse_args([verb, "x"])
+        assert getattr(args, dest) == "x", verb
+        assert args.fn is getattr(cli, "_cmd_" + verb.replace("-", "_")), verb
+        with pytest.raises(ValueError, match="unrecognized arguments"):
+            parser.parse_args([verb, "x", "--kind", "B"])
+    choices = parser._subparsers._group_actions[0].choices
+    assert set(ONE_ARGUMENT_VERBS) < set(choices) and len(choices) == 15
+
+
 def _run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -3,7 +3,7 @@ from orbitduality.compgroups import MarkedPartition, a_group_elements, parse_mar
 from orbitduality.sommers import sat_inverse, sat_la, sommers_dual
 from orbitduality.covers import (
     abar_r_rank, d_map, gamma_group_rank, lusztig_cover, ms_lift, phi_data,
-    _step_flags, rigidity, saturation_chain, singular_rows,
+    _step_flags, _transport_subgroup, rigidity, saturation_chain, singular_rows,
 )
 from orbitduality.infchar import nu0_eta0
 from orbitduality.verify import iter_special
@@ -47,14 +47,16 @@ def test_singular_rows():
 
 def test_phi_data():
     # two columns of length 1 removed from [4,2]: the created involution
-    # falls onto the value below the cut
-    kernel, mapping = phi_data((4, 2), "C", 1)
+    # falls onto the value below the cut; the kernel is the pull-back of the
+    # identity
+    o = Orbit("C", 6, (4, 2))
+    mapping = phi_data((4, 2), "C", 1)
     assert mapping[4] == frozenset({2}) and mapping[2] == frozenset({2})
-    assert kernel == span([frozenset({4, 2})])
+    assert _transport_subgroup(o, 1, {frozenset()}) == span([frozenset({4, 2})])
     # bottom-row removal sends the involution to the identity
-    kernel, mapping = phi_data((4, 2), "C", 2)
+    mapping = phi_data((4, 2), "C", 2)
     assert mapping[2] == frozenset()
-    assert frozenset({2}) in kernel
+    assert _transport_subgroup(o, 2, {frozenset()}) == span([frozenset({2})])
 
 
 def test_d_map_witness():

@@ -1,16 +1,69 @@
 import json
 import math
 import shutil
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from orbitduality import exceptional as ex
+from orbitduality import verify
 from orbitduality.cli import main
 
 
+def _determinant(matrix):
+    """Exact determinant by elimination with row swaps."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, len(a)):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def _is_positive_definite(g):
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return all(_determinant([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
+def self_check():
+    """Sanity of the generated root systems and the Gram matrices: each group
+    has its known number of positive roots, from its Cartan matrix and from
+    the transpose; the coroots are the positive roots of the transpose;
+    every root pairs to 2 with its own coroot; every Gram matrix is positive
+    definite.  Returns False on a mismatch."""
+    counts = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
+    for group in ex.GROUPS:
+        cartan = ex._CARTAN[group]
+        n = len(cartan)
+        roots = ex.positive_roots(group)
+        dual = ex._root_strings([list(col) for col in zip(*cartan)])
+        if (not len(roots) == len(dual) == counts[group]
+                or {r.coroot for r in roots} != set(dual)
+                or any(sum(r.simple[a] * cartan[a][b] * r.coroot[b]
+                           for a in range(n) for b in range(n)) != 2 for r in roots)):
+            return False
+    return all(_is_positive_definite(ex.gram_matrix(group)) for group in ex.GROUPS)
+
+
 def test_self_check():
-    assert ex.self_check()
+    assert self_check()
+
+
+def test_positive_definiteness_needs_every_leading_minor():
+    assert _determinant([[0, 1], [1, 0]]) == -1
+    assert _is_positive_definite([[2, -1], [-1, 2]])
+    # a positive determinant with a negative corner, and a singular form
+    assert not _is_positive_definite([[-1, 0], [0, -1]])
+    assert not _is_positive_definite([[1, 1], [1, 1]])
 
 
 def test_lookup_rows():
@@ -68,7 +121,7 @@ def test_component_rank_matches_elimination():
                 k, kcoords = ex._scaled(ex.parse_gamma(text))
                 for members in ex._subsystems(roots, kcoords, k):
                     for component in ex._components(roots, members):
-                        rank = len(ex._eliminate([r.simple for r in component])[1])
+                        rank = sum(map(any, ex._eliminate([r.simple for r in component])))
                         assert ex._component_rank(component) == rank, (group, text)
                         seen += 1
     assert seen > 100
@@ -135,7 +188,7 @@ def test_self_check_rejects_a_truncated_root_system(monkeypatch):
     full = ex.positive_roots
     monkeypatch.setattr(ex, "positive_roots",
                         lambda group: full(group)[:-1] if group == "F4" else full(group))
-    assert not ex.self_check()
+    assert not self_check()
     with pytest.raises(ValueError, match="unrecognized subsystem shape"):
         ex.verify_classification("F4")
     with pytest.raises(ValueError, match="unrecognized subsystem shape"):
@@ -351,3 +404,47 @@ def test_every_table_check_can_fail(tmp_path, monkeypatch, check):
     report = ex.verify_tables(group)
     assert report["failures"] == [record]
     assert report["checked"] == shipped["checked"]
+
+
+def test_shipped_tables_give_258_checks():
+    report = verify.verify_point_values()
+    assert report["passed"] and report["checked"] == 258
+
+
+def _drop_gamma_d(table):
+    del table["rows"][2]["gamma_d"]
+
+
+def _rows_as_a_list(table):
+    return table["rows"]
+
+
+def _one_coordinate_entry(table):
+    table["rows"][3]["entries"][0][1] = "(1)"
+
+
+# a corruption of g2.json -> what its one error line must carry after the
+# file's path
+MALFORMED_TABLES = {
+    "missing key": (_drop_gamma_d, " rows[2]: a row is an object with dual, entries, gamma, "
+                                    "gamma_d"),
+    "list file": (_rows_as_a_list, ": a table is an object with a list of rows"),
+    "short weight": (_one_coordinate_entry, " rows[3]: weight '(1)' does not have 2 coordinates"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TABLES))
+@pytest.mark.parametrize("argv", [("verify", "tables"), ("table", "g2")])
+def test_malformed_table_is_one_error_line_naming_file_and_row(tmp_path, monkeypatch, capsys,
+                                                               case, argv):
+    corrupt, text = MALFORMED_TABLES[case]
+    table = ex.load_table("G2")
+    (tmp_path / "g2.json").write_text(json.dumps(corrupt(table) or table))
+    shutil.copytree(ex.tables_dir(), tmp_path, dirs_exist_ok=True,
+                    ignore=lambda _, names: [n for n in names if n == "g2.json"])
+    monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0] == "error: %s%s" % (tmp_path / "g2.json", text)

@@ -1,17 +1,23 @@
+import itertools
+
 import pytest
 
 from orbitduality import oracle, verify
 from orbitduality.cli import main
 from orbitduality.compgroups import (
-    MarkedPartition, canonical_split, equivalent_markings, multiset_difference, parse_marked,
+    MARK_PARITY, MarkedPartition, all_markings, canonical_split, equivalent_markings,
+    is_distinguished_marked, multiset_difference, parse_marked,
 )
+from orbitduality.covers import PSEUDO_LEVI
 from orbitduality.infchar import Weight, rho_plus
 from orbitduality.oracle import (
-    class_shell, dominant_shell, dominant_shell_naive, membership_tester, richardson_pair,
-    richardson_zero, signature_minimum, split_classes, verify_min,
+    class_shell, dominant_shell, membership_tester, richardson_pair, richardson_zero,
+    signature_minimiser, signature_minimum, signatures, split_classes, verify_min,
 )
 from orbitduality.orbits import Orbit
-from orbitduality.partitions import collapse, enumerate_partitions, size, transpose, union, uparrow
+from orbitduality.partitions import (
+    collapse, enumerate_partitions, enumerate_type, size, transpose, union, uparrow,
+)
 
 
 def test_richardson_zero_examples():
@@ -141,6 +147,19 @@ def test_verify_min_needs_the_candidate_alone_at_the_least_norm(monkeypatch):
 def test_verify_min_requires_distinguished():
     with pytest.raises(ValueError):
         verify_min(parse_marked("B:<[5,1]>[5,4,4,3,1]"))
+
+
+def dominant_shell_naive(n, bound4):
+    """Nested-loop reference enumerator for the recursion of
+    `dominant_shell`."""
+    top = 0
+    while top * top <= bound4:
+        top += 1
+    pts = []
+    for tup in itertools.product(range(top), repeat=n):
+        if all(tup[i] >= tup[i + 1] for i in range(n - 1)) and sum(h * h for h in tup) <= bound4:
+            pts.append(tup)
+    return sorted(pts)
 
 
 def test_shell_enumerator_against_naive():
@@ -335,3 +354,61 @@ def test_a_wrong_candidate_fails_both_routes(monkeypatch):
         ("signature", "B:<[]>[5,3,1]"), ("shell", "B:<[]>[5,3,1]")]
     assert rep["failures"][0]["detail"] == {
         "candidate": "(2,3/2,1,1/2)", "signature_norm": "6", "shell_norm": "6"}
+
+
+def _proof_signature(side, parity):
+    """The signature `signature_minimum`'s docstring gives a lift side: the
+    rows before the collapse are the parts, except for distinct odd marks
+    on a type-D factor (the odd class), whose rows are a_1 + 1, a_2 - 1,
+    ...; mults is the transpose of the halved rows and the odd rows fill
+    the residual column."""
+    rows = side
+    if parity == 1 and side and side[0] % 2 == 1:
+        rows = tuple(v for v in (a + (-1) ** i for i, a in enumerate(side)) if v)
+    mults = transpose(tuple(r // 2 for r in rows if r // 2))
+    odd = sum(r % 2 for r in rows)
+    return mults, (odd - size(side) % 2) // 2
+
+
+def test_every_lift_side_has_the_signature_of_the_proof():
+    """`signature_minimum` reads both sides of every lift from the side
+    tables without a fallback: on every distinguished datum through rank 8,
+    special or not, the signature its docstring builds for each side is a
+    signature of the side's class, and its minimiser's Richardson orbit is
+    the side."""
+    lifts = 0
+    for kind, sizes in verify.type_sizes(8).items():
+        parity = MARK_PARITY[kind]
+        for n in sizes:
+            for lam in enumerate_type(kind, n):
+                for nu in all_markings(lam, kind):
+                    m = MarkedPartition(kind, lam, nu)
+                    if not is_distinguished_marked(m):
+                        continue
+                    for lift in equivalent_markings(m):
+                        eta = multiset_difference(lam, lift)
+                        for k, side, p in zip(PSEUDO_LEVI[kind], (lift, eta),
+                                              (parity, 1 - parity)):
+                            mults, zeros = _proof_signature(side, p)
+                            assert (mults, zeros) in signatures(size(side) // 2, p), (str(m), side)
+                            halves = signature_minimiser(mults, zeros, p)
+                            assert richardson_zero(k, size(side), halves).parts == side, (str(m), side)
+                            assert side in oracle._side_table(k, size(side), p)
+                        lifts += 1
+    assert lifts == 649
+
+
+def test_a_tie_in_a_side_table_is_an_error_naming_the_orbit(monkeypatch):
+    """A second signature at an orbit's least norm stops the table, naming
+    the factor, its class and the orbit; here every signature is offered
+    twice."""
+    real = oracle.signatures
+    monkeypatch.setattr(oracle, "signatures",
+                        lambda n, parity: (s for s in real(n, parity) for _ in range(2)))
+    oracle._side_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"tie at least norm 8/4 for the orbit \(2, 2\) "
+                                             r"of C\(4\), class 0"):
+            oracle._side_table("C", 4, 0)
+    finally:
+        oracle._side_table.cache_clear()

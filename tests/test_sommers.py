@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from orbitduality import sommers, verify
@@ -110,7 +112,7 @@ def reference_block_decompose(m):
             block_lam = tuple(v for v in lam if v in vals)
             block_nu = tuple(sorted(nu & vals, reverse=True))
             last = stop == len(values)
-            if not sommers._valid_block(kind, index, block_lam, block_nu, last):
+            if not sommers._valid_block(m, index, block_lam, block_nu, last):
                 continue
             if acc and not separated(kind, acc[-1].lam, block_lam):
                 continue
@@ -141,6 +143,21 @@ def test_no_fitting_block_is_one_error_naming_the_datum(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: no block decomposition found for %s" % text]
+
+
+def test_a_marked_block_without_markable_parts_names_the_datum(monkeypatch, capsys):
+    """The blocks route trusts its caller for reducedness.  Given a datum
+    that is not reduced (2 sits at odd height in [2,1,1]), the one block it
+    can end with is marked and has no markable part: a ValueError naming
+    the datum, where the scan used to reject the block and go on."""
+    m = MarkedPartition("C", (2, 1, 1), (2,))
+    message = "C:<[2]>[2,1,1] is not reduced: the marks [2] of its block [2,1,1] are not markable"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sommers._sommers_dual(m, "blocks")
+    monkeypatch.setattr(sommers, "require_reduced", lambda m: None)
+    assert main(["sommers-dual", str(m), "--route", "blocks"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: " + message]
 
 
 class KeyedWithoutMarks(dict):
