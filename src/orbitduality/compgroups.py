@@ -17,11 +17,10 @@ from .partitions import (
     as_partition,
     format_partition,
     is_type,
-    is_very_even,
     parse_partition,
     size,
 )
-from .orbits import DECORATIONS, Orbit
+from .orbits import Orbit, decoration_problem, split_decoration
 
 IDENTITY = frozenset()
 
@@ -193,11 +192,7 @@ def marking_problem(kind, lam, nu, decoration=None):
             return "mark %d is not a part" % v
     if kind in ("B", "D") and len(nu) % 2 == 1:
         return "types B and D need an even number of marks"
-    if decoration not in DECORATIONS:
-        return "decoration must be I or II"
-    if decoration is not None and not (kind == "D" and is_very_even(lam)):
-        return "only very even type-D partitions carry decorations"
-    return None
+    return None if decoration is None else decoration_problem(kind, lam, decoration)
 
 
 def is_reduced(m):
@@ -279,12 +274,7 @@ def parse_marked(text):
     kind = s[0]
     close = s.index(">")
     nu = parse_partition(s[3:close])
-    body = s[close + 1:]
-    dec = None
-    for suffix in ("II", "I"):
-        if body.endswith(suffix):
-            body, dec = body[: -len(suffix)], suffix
-            break
+    body, dec = split_decoration(s[close + 1:])
     lam = parse_partition(body)
     return MarkedPartition(kind, lam, nu, dec)
 

@@ -22,7 +22,7 @@ import os
 from fractions import Fraction
 
 from .compgroups import abar_rank
-from .partitions import is_type, size
+from .orbits import Orbit, split_decoration
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -129,9 +129,11 @@ def tables_dir():
     return os.path.join(os.path.dirname(__file__), "tables")
 
 
-# The keys that every row of a group's table and of its Galois table holds.
+# The keys that every row of a group's table and of its Galois table holds,
+# and the keys of the strings that are not weights.
 _ROW_KEYS = ("dual", "entries", "gamma", "gamma_d")
 _GAMMA_ROW_KEYS = ("dual", "m_orbit", "r", "r_orbits", "ranks", "gamma_group")
+_TEXT_KEYS = ("dual", "m_orbit", "r", "ranks", "gamma_group")
 
 
 def load_table(group):
@@ -144,8 +146,9 @@ def load_gamma_table(group):
 
 def _load(group, name, keys):
     """One table file, its shape checked: an object whose "rows" is a list
-    of objects holding `keys`, every weight with one coordinate per simple
-    root.  Any other shape is a ValueError naming the file and the row."""
+    of objects holding `keys`, every label and orbit a string, and every
+    weight a string with one coordinate per simple root.  Any other shape
+    is a ValueError naming the file and the row."""
     path = os.path.join(tables_dir(), name)
     with open(path) as fh:
         table = json.load(fh)
@@ -157,11 +160,17 @@ def _load(group, name, keys):
         where = "%s rows[%d]" % (path, i)
         if not (isinstance(row, dict) and all(key in row for key in keys)):
             raise ValueError("%s: a row is an object with %s" % (where, ", ".join(keys)))
+        for key in _TEXT_KEYS:
+            if key in keys and not isinstance(row[key], str):
+                raise ValueError("%s: %s %r is not a string" % (where, key, row[key]))
         if "entries" not in keys:
+            r_orbits = row["r_orbits"]
+            if not (isinstance(r_orbits, list) and all(isinstance(t, str) for t in r_orbits)):
+                raise ValueError("%s: r_orbits %r is not a list of strings" % (where, r_orbits))
             continue
         entries = row["entries"]
-        if not (isinstance(entries, list)
-                and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+        if not (isinstance(entries, list) and all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) for e in entries)):
             raise ValueError("%s: entries are [label, weight] pairs" % where)
         for text in [row["gamma"], row["gamma_d"]] + [e[1] for e in entries]:
             # `parse_gamma` reads one coordinate per comma-separated field
@@ -345,10 +354,7 @@ def _expand_orbit_string(text):
     s = text.strip()
     if s == "{0}":
         return None
-    dec = None
-    for suffix in ("^II", "^I"):
-        if s.endswith(suffix):
-            s, dec = s[: -len(suffix)], suffix[1:]
+    s, dec = split_decoration(s, "^")
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError("bad orbit string %r" % text)
     parts = []
@@ -363,7 +369,8 @@ def _expand_orbit_string(text):
 
 def _classical_abar_rank(type_label, orbit_strings):
     """Sum of canonical-quotient ranks over the factors of a classical
-    pseudo-Levi, from the tabulated factor orbits; type-A factors are trivial."""
+    pseudo-Levi, from the tabulated factor orbits; type-A factors are trivial.
+    A factor orbit that is no orbit of its factor is a ValueError naming it."""
     kinds = _factor_types(type_label)
     if len(kinds) != len(orbit_strings):
         raise ValueError("%s has %d factors but %d orbits"
@@ -374,10 +381,12 @@ def _classical_abar_rank(type_label, orbit_strings):
         if letter == "A":
             continue
         expanded = _expand_orbit_string(orb)
-        dim = {"B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[letter]
-        parts = (1,) * dim if expanded is None else expanded[0]
-        if size(parts) != dim or not is_type(parts, letter):
-            raise ValueError("orbit %r does not fit factor %s" % (orb, kind_label))
+        dim = 2 * rank + (letter == "B")
+        parts, dec = ((1,) * dim, None) if expanded is None else expanded
+        try:
+            Orbit(letter, dim, parts, dec)
+        except ValueError as exc:
+            raise ValueError("orbit %r does not fit factor %s: %s" % (orb, kind_label, exc))
         total += abar_rank(parts, letter)
     return total
 

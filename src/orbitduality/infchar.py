@@ -10,8 +10,9 @@ the coordinate product.
 from dataclasses import dataclass
 
 from .partitions import EPSILON, as_partition, size, transpose, union, uparrow
+from .orbits import DUAL_KIND
 from .compgroups import MARK_PARITY, MarkedPartition, canonical_split
-from .sommers import DUAL_KIND, _strip_tuples
+from .sommers import _strip_tuples
 
 
 @dataclass(frozen=True)

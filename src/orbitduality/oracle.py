@@ -28,16 +28,17 @@ from .infchar import Weight, gamma_la
 from .covers import PSEUDO_LEVI
 
 
-def richardson_zero(kind, ambient, halves):
+def richardson_zero(kind, halves):
     """Richardson orbit induced from zero on the Levi singled out by a weight.
 
-    The coordinates (doubled) must lie in one congruence class: all even
-    (integers) or all odd (strict half-integers).  Equal absolute values of
-    multiplicity q contribute a pair of columns of height q; zeros contribute
-    one column holding the rank of the residual classical factor.  One pass
-    over the runs of the sorted absolute values reads every multiplicity.
+    The r coordinates (doubled) must lie in one congruence class: all even
+    (integers) or all odd (strict half-integers).  The factor has size 2r,
+    plus one in type B.  Equal absolute values of multiplicity q contribute
+    a pair of columns of height q; zeros contribute one column holding the
+    rank of the residual classical factor.  One pass over the runs of the
+    sorted absolute values reads every multiplicity.
     """
-    columns, residual, parity = [], ambient % 2, None
+    columns, residual, parity = [], 1 if kind == "B" else 0, None
     for v, run in itertools.groupby(sorted(map(abs, halves))):
         q = len(list(run))
         if parity is None:
@@ -48,13 +49,11 @@ def richardson_zero(kind, ambient, halves):
             columns += (q, q)
         else:
             residual += 2 * q
-    if 2 * len(halves) + (ambient % 2) != ambient:
-        raise ValueError("coordinate count does not match the ambient size")
     if residual:
         columns.append(residual)
     columns.sort(reverse=True)
     parts = transpose(tuple(columns))
-    return Orbit(kind, ambient, collapse(parts, kind))
+    return Orbit(kind, size(parts), collapse(parts, kind))
 
 
 def split_classes(kind, halves):
@@ -72,19 +71,16 @@ def _lift_sides(m, orbits):
     `lifts` lists (nu, |nu|, eta, |eta|) for every marking nu in the datum's
     class, with eta the rest of its partition.  `accepting(side1)` lists the
     lifts that a marked side (the coordinates of the mark parity) satisfies:
-    its size is |nu| and its Richardson orbit is nu.  `other_orbit(n2,
-    side2)` is the Richardson orbit of the other side at ambient size n2, or
-    None when the side does not fit that size.
+    its size is |nu| and its Richardson orbit is nu.  `other_orbit(side2)`
+    is the Richardson orbit of the other side.
 
     `orbits` memoizes the Richardson orbit of each side vector as
-    {factor kind: {side vector: parts}}; the ambient size follows from the
-    kind and the side's length.  Each orbit is computed once per memo: pass
-    one memo to every datum of a run, since many points and many data share
-    a side.  None means a fresh memo.  The memo is keyed by the whole side
-    vector, never by its multiplicity signature, and filled by
+    {factor kind: {side vector: parts}}.  Each orbit is computed once per
+    memo: pass one memo to every datum of a run, since many points and many
+    data share a side.  None means a fresh memo.  The memo is keyed by the
+    whole side vector, never by its multiplicity signature, and filled by
     `richardson_zero` alone, never from `_side_table`, so the shell stays
-    independent of the signature route.  A side that fits no orbit is not
-    stored, so a point of another length leaves the memo as it was."""
+    independent of the signature route."""
     if not is_distinguished_marked(m):
         raise ValueError("membership is tested on distinguished data")
     lam = m.lam
@@ -101,13 +97,10 @@ def _lift_sides(m, orbits):
         by_size.setdefault(lift[1], []).append(lift)
     interned = {}   # many sides share one orbit: one copy of its parts per call
 
-    def orbit(memo, k, ambient, side):
+    def orbit(memo, k, side):
         parts = memo.get(side)
         if parts is None:
-            try:
-                parts = richardson_zero(k, ambient, side).parts
-            except ValueError:
-                return None
+            parts = richardson_zero(k, side).parts
             parts = memo[side] = interned.setdefault(parts, parts)
         return parts
 
@@ -116,11 +109,11 @@ def _lift_sides(m, orbits):
         sized = by_size.get(n1, [])
         if not (sized and n1):
             return sized
-        parts = orbit(memo1, k1, n1, side1)
+        parts = orbit(memo1, k1, side1)
         return [lift for lift in sized if lift[0] == parts]
 
-    def other_orbit(n2, side2):
-        return orbit(memo2, k2, n2, side2)
+    def other_orbit(side2):
+        return orbit(memo2, k2, side2)
 
     return lifts, accepting, other_orbit
 
@@ -129,8 +122,8 @@ def membership_tester(m, orbits=None):
     """A fast membership test for the admissible-weight set of a distinguished
     marked datum: a point is a member when its marked side is accepted by
     some lift (nu, eta) whose eta is the Richardson orbit of its other side.
-    On a point of rank coordinates the other side's size follows from the
-    marked side's; a point of another length is rejected.  `orbits` is the
+    On a point of another length the other side's orbit has another size
+    than every such eta, so the point is rejected.  `orbits` is the
     Richardson-orbit memo of `_lift_sides`: None for a fresh one, or one memo
     shared by every tester of a run."""
     _, accepting, other_orbit = _lift_sides(m, orbits)
@@ -138,8 +131,7 @@ def membership_tester(m, orbits=None):
 
     def test(halves):
         side1, side2 = split_classes(kind, halves)
-        return any(other_orbit(n2, side2) == eta
-                   for _, _, eta, n2 in accepting(side1))
+        return any(other_orbit(side2) == eta for _, _, eta, _ in accepting(side1))
 
     return test
 
@@ -241,10 +233,9 @@ def verify_min(m, orbits=None):
             accepted = accepting(marked)
             if not accepted:
                 continue
-            n2 = accepted[0][3]     # |eta| = |lam| - |nu| is one size for all of them
             etas = {eta for _, _, eta, _ in accepted}
             for other, norm2 in others[:within]:
-                if other_orbit(n2, other) not in etas:
+                if other_orbit(other) not in etas:
                     continue
                 pt = tuple(sorted(marked + other, reverse=True))
                 if not test(pt):
@@ -291,7 +282,7 @@ def _side_table(kind, ambient, parity):
     table = {}
     for mults, zeros in signatures(ambient // 2, parity):
         halves = signature_minimiser(mults, zeros, parity)
-        orbit = richardson_zero(kind, ambient, halves).parts
+        orbit = richardson_zero(kind, halves).parts
         norm4 = sum(h * h for h in halves)
         best = table.get(orbit)
         if best is None or norm4 < best[0]:
@@ -347,10 +338,8 @@ def richardson_pair(m, splits=None, orbits=None):
     Two memos serve one run of this route, and neither may feed the route
     it is compared with: `splits`, the core-split memo of the weight
     (`infchar._core_split`), and `orbits`, which maps (factor kind, whole
-    side vector) to the side's Richardson orbit; the ambient size follows
-    from the two (twice the side's length, plus one for a type-B factor).
-    None means a fresh memo.  The key is never the side's
-    multiplicity signature."""
+    side vector) to the side's Richardson orbit.  None means a fresh memo.
+    The key is never the side's multiplicity signature."""
     if orbits is None:
         orbits = {}
     side1, side2 = split_classes(m.kind, gamma_la(m, splits).halves)
@@ -359,7 +348,7 @@ def richardson_pair(m, splits=None, orbits=None):
         key = (k, side)
         orbit = orbits.get(key)
         if orbit is None:
-            orbit = richardson_zero(k, 2 * len(side) + (1 if k == "B" else 0), side)
+            orbit = richardson_zero(k, side)
             orbits[key] = orbit
         pair.append(orbit)
     return tuple(pair)

@@ -25,7 +25,8 @@ from .partitions import (
     union,
 )
 
-DECORATIONS = (None, "I", "II")
+# The family of the dual orbits: so(2n+1) <-> sp(2n), so(2n) -> so(2n).
+DUAL_KIND = {"B": "C", "C": "B", "D": "D"}
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,30 @@ class Orbit:
         if not is_type(self.parts, self.kind):
             raise ValueError("%s is not a type-%s partition"
                              % (format_partition(self.parts), self.kind))
-        if self.decoration not in DECORATIONS:
-            raise ValueError("decoration must be I or II")
         if self.decoration is not None:
-            if self.kind != "D" or not is_very_even(self.parts):
-                raise ValueError("only very even type-D orbits carry decorations")
+            problem = decoration_problem(self.kind, self.parts, self.decoration)
+            if problem:
+                raise ValueError(problem)
 
     def __str__(self):
         return format_orbit(self)
+
+
+def decoration_problem(kind, parts, decoration):
+    """Why a decoration other than None cannot sit on these parts, or None."""
+    if decoration not in ("I", "II"):
+        return "decoration must be I or II"
+    if kind != "D" or not is_very_even(parts):
+        return "only very even type-D partitions carry decorations"
+    return None
+
+
+def split_decoration(text, mark=""):
+    """(text less a final mark + "I" or "II", that decoration or None)."""
+    for dec in ("II", "I"):
+        if text.endswith(mark + dec):
+            return text[: -len(mark + dec)], dec
+    return text, None
 
 
 def enumerate_orbits(kind, ambient):
@@ -132,26 +149,28 @@ def d_exception_by_columns(beta):
 
 
 def bvls_dual(orbit):
-    """Duality on orbits: so(2n+1) <-> sp(2n), so(2n) -> so(2n).
-
-    Transpose composed with a boundary adjustment and a type collapse; on a
-    very even type-D orbit the decoration is kept when the half-dimension is
-    divisible by 4 and swapped otherwise.  Any other very even type-D dual
-    carries no decoration: it is not determined by this rule.
+    """Duality on orbits: transpose composed with a boundary adjustment and a
+    type collapse, the decoration as in `dual_orbit`.  Any other very even
+    type-D dual carries no decoration: it is not determined by this rule.
     """
     p = orbit.parts
     if orbit.kind == "B":
-        return Orbit("C", orbit.ambient - 1, collapse(drop_box(transpose(p)), "C"))
-    if orbit.kind == "C":
-        return Orbit("B", orbit.ambient + 1, collapse(transpose(add_unit(p)), "B"))
-    q = collapse(transpose(p), "D")
-    dec = None
-    if is_very_even(p) and orbit.decoration is not None:
-        if orbit.ambient // 2 % 4 == 0:
-            dec = orbit.decoration
-        else:
-            dec = {"I": "II", "II": "I"}[orbit.decoration]
-    return Orbit("D", orbit.ambient, q, dec)
+        q = collapse(drop_box(transpose(p)), "C")
+    elif orbit.kind == "C":
+        q = collapse(transpose(add_unit(p)), "B")
+    else:
+        q = collapse(transpose(p), "D")
+    return dual_orbit(orbit.kind, orbit.ambient, orbit.decoration, q)
+
+
+def dual_orbit(kind, ambient, decoration, parts):
+    """The orbit of partition `parts` dual to a type-`kind` orbit of size
+    `ambient` with `decoration`.  A very even type-D orbit keeps its
+    decoration when ambient/2 is divisible by 4 and swaps it otherwise."""
+    if decoration is not None and ambient // 2 % 4:
+        decoration = "I" if decoration == "II" else "II"
+    ambient += {"B": -1, "C": 1, "D": 0}[kind]
+    return Orbit(DUAL_KIND[kind], ambient, parts, decoration)
 
 
 def is_distinguished(orbit):
@@ -167,12 +186,7 @@ def parse_orbit(text):
     kind = s[0]
     if kind not in ("B", "C", "D"):
         raise ValueError("orbit kind must be B, C or D, not %r" % kind)
-    body = s[2:]
-    dec = None
-    for suffix in ("II", "I"):
-        if body.endswith(suffix):
-            body, dec = body[: -len(suffix)], suffix
-            break
+    body, dec = split_decoration(s[2:])
     p = parse_partition(body)
     return Orbit(kind, size(p), p, dec)
 

@@ -23,7 +23,7 @@ from .partitions import (
     union,
     uparrow,
 )
-from .orbits import Orbit, saturate
+from .orbits import dual_orbit, saturate
 from .compgroups import (
     MarkedPartition,
     canonical_split,
@@ -31,8 +31,6 @@ from .compgroups import (
     markable_parts,
     multiset_difference,
 )
-
-DUAL_KIND = {"B": "C", "C": "B", "D": "D"}
 
 
 def require_reduced(m):
@@ -101,9 +99,7 @@ def _sommers_dual(m, route, block_duals=None):
         parts = _dual_partition_blocks(m, block_duals)
     else:
         raise ValueError("unknown route %r" % (route,))
-    kind = DUAL_KIND[m.kind]
-    ambient = {"B": size(m.lam) - 1, "C": size(m.lam) + 1, "D": size(m.lam)}[m.kind]
-    return Orbit(kind, ambient, parts)
+    return dual_orbit(m.kind, size(m.lam), m.decoration, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,13 @@ def test_json_mode_single_document(capsys):
     assert doc["dual"]["decoration"] == "II"
 
 
+def test_marked_dual_keeps_the_decoration_of_the_orbit_dual(capsys):
+    code, out = run(capsys, "sommers-dual", "D:<[]>[4,4]I")
+    assert code == 0 and out == "D:[2,2,2,2]I"
+    code, out = run(capsys, "--json", "sommers-dual", "D:<[]>[2,2]I")
+    assert code == 0 and json.loads(out)["dual"]["decoration"] == "II"
+
+
 def test_round_trip_output(capsys):
     _, out = run(capsys, "bvls-dual", "B:[3,1,1]")
     assert out == "C:[2,2]"

@@ -345,6 +345,46 @@ def test_unknown_group_label_is_a_failure(tmp_path, monkeypatch, capsys, field, 
     assert "tables G2 group_label G2(a1)" in capsys.readouterr().out
 
 
+# a Galois-table row's pseudo-Levi and factor orbits -> the message of the
+# one `abar_parse` failure they give
+FACTOR_ORBIT_BREAKS = {
+    "decoration off a very even D orbit": (
+        "E7", "D6+A1", ["[7,5]^I", "[2]"],
+        "orbit '[7,5]^I' does not fit factor D6: "
+        "only very even type-D partitions carry decorations"),
+    "factor of no classical type": (
+        "G2", "G2", ["{0}"], "orbit '{0}' does not fit factor G2: unknown kind 'G'"),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTOR_ORBIT_BREAKS))
+def test_a_factor_orbit_that_its_factor_cannot_have_is_a_failure(tmp_path, monkeypatch, case):
+    group, r, r_orbits, text = FACTOR_ORBIT_BREAKS[case]
+    table = ex.load_gamma_table(group)
+    row = table["rows"][0]
+    row.update(r=r, r_orbits=r_orbits)
+    _use_tables(tmp_path, monkeypatch, "gamma_%s.json" % group.lower(), table)
+    assert ex.verify_tables(group)["failures"] == [
+        ("abar_parse", row["dual"], row["m_orbit"], text)]
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("r_orbits", 5, "r_orbits 5 is not a list of strings"),
+    ("ranks", 7, "ranks 7 is not a string"),
+    ("r", 3, "r 3 is not a string"),
+])
+def test_a_value_of_the_wrong_type_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                     field, value, text):
+    table = ex.load_gamma_table("G2")
+    table["rows"][1][field] = value
+    _use_tables(tmp_path, monkeypatch, "gamma_g2.json", table)
+    assert main(["verify", "tables"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: %s rows[1]: %s" % (tmp_path / "gamma_g2.json",
+                                                                    text)]
+
+
 def test_zero_weight_denominator_is_one_error_line(tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError, match="denominator"):
         ex.parse_gamma("(1,1)/0")

@@ -21,16 +21,15 @@ from orbitduality.partitions import (
 
 
 def test_richardson_zero_examples():
-    assert richardson_zero("D", 16, (3, 3, 3, 1, 1, 1, 1, 5)).parts == (5, 5, 3, 3)
-    assert richardson_zero("C", 2, (2,)).parts == (2,)
-    assert richardson_zero("B", 9, (0, 0, 0, 0)).parts == (1,) * 9
+    assert richardson_zero("D", (3, 3, 3, 1, 1, 1, 1, 5)) == Orbit("D", 16, (5, 5, 3, 3))
+    assert richardson_zero("C", (2,)) == Orbit("C", 2, (2,))
+    assert richardson_zero("B", (0, 0, 0, 0)) == Orbit("B", 9, (1,) * 9)
+    assert richardson_zero("B", ()) == Orbit("B", 1, (1,))
     with pytest.raises(ValueError):
-        richardson_zero("C", 4, (2, 1))
-    with pytest.raises(ValueError):
-        richardson_zero("C", 6, (2,))
+        richardson_zero("C", (2, 1))
 
 
-def reference_richardson_zero(kind, ambient, halves):
+def reference_richardson_zero(kind, halves):
     """The definition `richardson_zero` had before it counted runs: the
     distinct nonzero absolute values by a set, each multiplicity by count."""
     halves = tuple(abs(h) for h in halves)
@@ -38,8 +37,7 @@ def reference_richardson_zero(kind, ambient, halves):
     if len(parities) > 1:
         raise ValueError("coordinates of one factor must share a congruence class")
     zeros = sum(1 for h in halves if h == 0)
-    if 2 * len(halves) + (ambient % 2) != ambient:
-        raise ValueError("coordinate count does not match the ambient size")
+    ambient = 2 * len(halves) + (kind == "B")
     columns = []
     for v in sorted({h for h in halves if h}, reverse=True):
         q = halves.count(v)
@@ -57,15 +55,14 @@ def test_richardson_zero_by_runs_is_the_definition():
     memo = {}
     for m in verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK):
         verify_min(m, memo)
-    sides = [(k, 2 * len(side) + (k == "B"), side) for k, table in memo.items() for side in table]
+    sides = [(k, side) for k, table in memo.items() for side in table]
     assert len(sides) == 3061
-    for k, ambient, side in sides:
-        orbit = richardson_zero(k, ambient, side)
-        assert orbit == reference_richardson_zero(k, ambient, side), (k, side)
+    for k, side in sides:
+        orbit = richardson_zero(k, side)
+        assert orbit == reference_richardson_zero(k, side), (k, side)
         assert orbit.parts == memo[k][side]
-    # the same error first, also when both the class and the count are wrong
-    for bad in [("C", 4, (2, 1)), ("C", 6, (2,)), ("B", 5, (3, 2)), ("D", 8, (4, 2, 0)),
-                ("C", 6, (2, 1))]:
+    # the same error on coordinates of two classes
+    for bad in [("C", (2, 1)), ("B", (3, 2))]:
         messages = []
         for route in (richardson_zero, reference_richardson_zero):
             with pytest.raises(ValueError) as err:
@@ -392,7 +389,7 @@ def test_every_lift_side_has_the_signature_of_the_proof():
                             mults, zeros = _proof_signature(side, p)
                             assert (mults, zeros) in signatures(size(side) // 2, p), (str(m), side)
                             halves = signature_minimiser(mults, zeros, p)
-                            assert richardson_zero(k, size(side), halves).parts == side, (str(m), side)
+                            assert richardson_zero(k, halves).parts == side, (str(m), side)
                             assert side in oracle._side_table(k, size(side), p)
                         lifts += 1
     assert lifts == 649

@@ -1,5 +1,10 @@
+import ast
+import glob
+import os
+
 import pytest
 
+from orbitduality import orbits
 from orbitduality.partitions import dominates
 from orbitduality.orbits import (
     Orbit, bvls_dual, d_exception_by_columns,
@@ -108,3 +113,29 @@ def test_trivial_levi_identities():
     assert saturate([], core) == core
     res = induce([], core)
     assert res.orbit == core and res.birational
+
+
+def _orbit_rules(path):
+    """Which of two orbit rules one module spells out: the string constant
+    "II" (a decoration) and a dict literal mapping B to C, C to B and D to D
+    (the dual family)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    rules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == "II":
+            rules.add("II")
+        elif isinstance(node, ast.Dict):
+            pairs = {(k.value, v.value) for k, v in zip(node.keys, node.values)
+                     if isinstance(k, ast.Constant) and isinstance(v, ast.Constant)}
+            if {("B", "C"), ("C", "B"), ("D", "D")} <= pairs:
+                rules.add("dual kinds")
+    return rules
+
+
+def test_only_orbits_spells_out_the_decorations_and_the_dual_kinds():
+    package = os.path.dirname(orbits.__file__)
+    found = {os.path.basename(path): _orbit_rules(path)
+             for path in glob.glob(os.path.join(package, "*.py"))}
+    assert {name: rules for name, rules in found.items() if rules} == {
+        "orbits.py": {"II", "dual kinds"}}

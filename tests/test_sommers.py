@@ -6,6 +6,7 @@ from orbitduality import sommers, verify
 from orbitduality.cli import main
 from orbitduality.orbits import bvls_dual, parse_orbit
 from orbitduality.compgroups import MarkedPartition, is_distinguished_marked, parse_marked
+from orbitduality.partitions import enumerate_type, is_very_even
 from orbitduality.sommers import (
     block_decompose, sat_inverse, sat_la, sommers_dual,
 )
@@ -35,6 +36,16 @@ def test_unmarked_reduces_to_orbit_dual():
                 continue
             orbit = parse_orbit("%s:[%s]" % (kind, ",".join(map(str, m.lam))))
             assert sommers_dual(m).parts == bvls_dual(orbit).parts
+    # a decorated very even datum: whole orbits, so the decoration counts too
+    cases = 0
+    for n in range(2, 17, 2):
+        for lam in filter(is_very_even, enumerate_type("D", n)):
+            for decoration in ("I", "II"):
+                m = MarkedPartition("D", lam, (), decoration)
+                for route in ("general", "blocks"):
+                    assert sommers_dual(m, route) == bvls_dual(m.orbit), (str(m), route)
+                    cases += 1
+    assert cases == 44
 
 
 def test_blocks():
