@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .partitions import (
     EPSILON,
+    SIZE_PARITY,
     as_partition,
     format_partition,
     is_type,
@@ -87,13 +88,13 @@ def group_data(orbit):
 
 
 def markable_parts(lam, kind):
-    """Parts of the non-eps parity whose height has the kind parity.
+    """Parts of the non-eps parity whose height has the kind's size parity.
 
     B: odd part, odd height; C: even part, even height; D: odd part, even
     height.  Returned as a multiplicity-free decreasing tuple.  One pass over
     the runs of lam: the height of a value is the index just past its run.
     """
-    parity, want = MARK_PARITY[kind], 1 if kind == "B" else 0
+    parity, want = MARK_PARITY[kind], SIZE_PARITY[kind]
     out = []
     i, n = 0, len(lam)
     while i < n:
@@ -200,8 +201,8 @@ def is_reduced(m):
 
 
 def is_special_marked(m):
-    """No wrong-parity part x with ht_nu(x) odd and ht_lam(x) of the bad parity
-    (odd for B, even for C and D)."""
+    """No wrong-parity part x with ht_nu(x) odd and ht_lam(x) of the kind's
+    size parity (odd for B, even for C and D)."""
     return _is_special(m.kind, m.lam, m.nu)
 
 
@@ -212,7 +213,7 @@ def _is_special(kind, lam, nu):
     One pass over the runs of lam: ht_lam(x) is the index just past x's run,
     and ht_nu(x) an index into nu that only moves forward."""
     eps = EPSILON[kind]
-    bad_lam_parity = 1 if kind == "B" else 0
+    bad_lam_parity = SIZE_PARITY[kind]
     i, k, n = 0, 0, len(lam)
     while i < n:
         x, h = lam[i], i + 1

@@ -6,8 +6,8 @@ the Galois group of the maximal equivalent cover.
 
 from dataclasses import dataclass
 
-from .partitions import EPSILON, is_very_even, size
-from .orbits import InducedOrbit, Orbit, induce
+from .partitions import EPSILON, SIZE_PARITY, is_very_even, size
+from .orbits import InducedOrbit, Orbit, dual_orbit, induce
 from .compgroups import (
     MARK_PARITY,
     MarkedPartition,
@@ -200,8 +200,8 @@ def d_map(m):
     """Dual cover of a reduced marked datum: the Lusztig cover of the core's
     dual, birationally induced up the stripped gl factors.
 
-    The base and the degree (`chain_degree`) are always computed.  The
-    subgroup itself is reported only when every step is birational.
+    The base, D(m) with its decoration, and the degree (`chain_degree`) are
+    always computed; the subgroup only when every step is birational.
     """
     core_dual, steps = saturation_chain(m)
     base, subgroup = core_dual, kernel_subgroup(core_dual.parts, core_dual.kind)
@@ -214,6 +214,8 @@ def d_map(m):
             exact = False  # birational type-D collapse: degree 1, map not tracked
         elif exact:
             subgroup = _transport_subgroup(base, step.a, subgroup)
+    if m.decoration:
+        base = dual_orbit(m.kind, size(m.lam), m.decoration, base.parts)
     return CoverSpec(base, chain_degree(core_dual, steps), subgroup if exact else None)
 
 
@@ -288,10 +290,11 @@ def _step_flags(a, lam, kind, nu0, eta0):
 
     `abar_changes`: the pseudo-Levi pair component group gains a factor of
     order 2.  `bind_birational`: the dual-side induction step is birational.
+    Both ask whether the height of a in eta0 has the kind's size parity.
     """
     eta_ht = sum(1 for v in eta0 if v >= a)
     nu_ht = sum(1 for v in nu0 if v >= a)
-    eta_cond = eta_ht % 2 == (1 if kind == "B" else 0)
+    eta_cond = eta_ht % 2 == SIZE_PARITY[kind]
     fresh = a not in lam
     abar_changes = (fresh and a % 2 == MARK_PARITY[kind] and eta_cond
                     and (kind != "D" or bool(eta0)))

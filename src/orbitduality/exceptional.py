@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .compgroups import abar_rank
 from .orbits import Orbit, split_decoration
+from .partitions import SIZE_PARITY
 
 GROUPS = ("G2", "F4", "E6", "E7", "E8")
 
@@ -381,7 +382,7 @@ def _classical_abar_rank(type_label, orbit_strings):
         if letter == "A":
             continue
         expanded = _expand_orbit_string(orb)
-        dim = 2 * rank + (letter == "B")
+        dim = 2 * rank + SIZE_PARITY.get(letter, 0)  # `Orbit` rejects other letters
         parts, dec = ((1,) * dim, None) if expanded is None else expanded
         try:
             Orbit(letter, dim, parts, dec)
@@ -512,8 +513,9 @@ def verify_shell_minimality(group):
         for label, gamma_text in row["entries"]:
             coords = parse_gamma(gamma_text)
             k, kcoords = _scaled(coords)
-            key = subsystem_classify(group, coords)
-            counts = tuple(map(len, _subsystems(roots, kcoords, k)))
+            entry = _subsystems(roots, kcoords, k)
+            key = tuple(_label_set(group, roots, s) for s in entry)
+            counts = tuple(map(len, entry))
             budget = _form(h, kcoords)
             checked += 1
             for point, q in _dominant_points_within(h, budget):

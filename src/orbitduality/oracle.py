@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .partitions import collapse, enumerate_partitions, size, transpose
+from .partitions import SIZE_PARITY, collapse, enumerate_partitions, size, transpose
 from .orbits import Orbit
 from .compgroups import (
     MARK_PARITY,
@@ -38,7 +38,7 @@ def richardson_zero(kind, halves):
     rank of the residual classical factor.  One pass over the runs of the
     sorted absolute values reads every multiplicity.
     """
-    columns, residual, parity = [], 1 if kind == "B" else 0, None
+    columns, residual, parity = [], SIZE_PARITY[kind], None
     for v, run in itertools.groupby(sorted(map(abs, halves))):
         q = len(list(run))
         if parity is None:

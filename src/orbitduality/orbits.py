@@ -10,6 +10,7 @@ exchanging the B and C families (fixing D).
 from dataclasses import dataclass
 
 from .partitions import (
+    SIZE_PARITY,
     add_unit,
     as_partition,
     collapse,
@@ -75,7 +76,7 @@ def split_decoration(text, mark=""):
 
 def enumerate_orbits(kind, ambient):
     """All orbits of g(ambient); very even type-D partitions appear twice."""
-    if kind == "B" and ambient % 2 == 0 or kind in ("C", "D") and ambient % 2 == 1:
+    if ambient % 2 != SIZE_PARITY[kind]:
         raise ValueError("ambient parity does not match kind %s" % kind)
     out = []
     for p in enumerate_type(kind, ambient):
@@ -169,8 +170,8 @@ def dual_orbit(kind, ambient, decoration, parts):
     decoration when ambient/2 is divisible by 4 and swaps it otherwise."""
     if decoration is not None and ambient // 2 % 4:
         decoration = "I" if decoration == "II" else "II"
-    ambient += {"B": -1, "C": 1, "D": 0}[kind]
-    return Orbit(DUAL_KIND[kind], ambient, parts, decoration)
+    dual = DUAL_KIND[kind]
+    return Orbit(dual, ambient - SIZE_PARITY[kind] + SIZE_PARITY[dual], parts, decoration)
 
 
 def is_distinguished(orbit):

@@ -13,6 +13,8 @@ from operator import ge
 
 # parity marker: parts congruent to EPSILON[kind] mod 2 are the constrained ones
 EPSILON = {"B": 0, "C": 1, "D": 0}
+# the parity of the sizes of a kind's partitions: odd exactly in type B
+SIZE_PARITY = {"B": 1, "C": 0, "D": 0}
 
 
 def as_partition(parts):
@@ -122,7 +124,7 @@ def lower_covers(p):
 def is_type(p, kind):
     """Test the type-B/C/D parity condition (size parity plus multiplicities)."""
     eps = EPSILON[kind]
-    if (sum(p) % 2 == 1) != (kind == "B"):
+    if sum(p) % 2 != SIZE_PARITY[kind]:
         return False
     for v in set(p):
         if v % 2 == eps and p.count(v) % 2:
@@ -147,7 +149,7 @@ def collapse(p, kind):
     value again and again.
     """
     eps = EPSILON[kind]
-    if (size(p) % 2 == 1) != (kind == "B"):
+    if size(p) % 2 != SIZE_PARITY[kind]:
         raise ValueError("size/kind mismatch: |p|=%d is not a type %s size" % (size(p), kind))
     q = list(p)
     i = 0

@@ -208,11 +208,11 @@ def sat_inverse(m):
     pairs), and any other value keeps one row if unmarked with odd
     multiplicity, its marked row plus one more if marked with even
     multiplicity, and so on, leaving multiplicity-free marks and remainders.
-    Returns (gl sizes, distinguished core); saturating the core by principal
-    gl orbits of the returned sizes restores the input.
+    Returns (gl sizes, distinguished core), an empty core keeping a decorated
+    datum's decoration; principal gl orbits of those sizes restore the input.
     """
     gl, core_lam = _strip_tuples(m)
-    return gl, MarkedPartition(m.kind, core_lam, m.nu)
+    return gl, MarkedPartition(m.kind, core_lam, m.nu, m.decoration)
 
 
 def _strip_tuples(m):

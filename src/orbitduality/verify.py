@@ -13,6 +13,7 @@ from operator import ne
 
 from .partitions import (
     EPSILON,
+    SIZE_PARITY,
     collapse,
     dominates,
     enumerate_partitions,
@@ -56,9 +57,8 @@ from . import exceptional
 def type_sizes(max_rank):
     """{kind: ambient sizes} of so(2r+1), sp(2r) (r >= 1) and so(2r) (r >= 2)
     up to rank max_rank."""
-    return {"B": [2 * r + 1 for r in range(1, max_rank + 1)],
-            "C": [2 * r for r in range(1, max_rank + 1)],
-            "D": [2 * r for r in range(2, max_rank + 1)]}
+    return {kind: [2 * r + SIZE_PARITY[kind] for r in range(low, max_rank + 1)]
+            for kind, low in (("B", 1), ("C", 1), ("D", 2))}
 
 
 def iter_reduced_marked(kind, n):
@@ -479,9 +479,7 @@ def verify_kernel(max_size=14, max_rank=6):
     failures = []
     checked = 0
     for n in range(max_size + 1):
-        for kind in ("B", "C", "D"):
-            if (n % 2 == 1) != (kind == "B"):
-                continue
+        for kind in (k for k, parity in SIZE_PARITY.items() if parity == n % 2):
             maxima, collapse_failures = collapse_maxima(n, kind)
             checked += len(maxima)
             failures += collapse_failures

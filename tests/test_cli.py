@@ -72,7 +72,11 @@ def test_marked_dual_keeps_the_decoration_of_the_orbit_dual(capsys):
     code, out = run(capsys, "sommers-dual", "D:<[]>[4,4]I")
     assert code == 0 and out == "D:[2,2,2,2]I"
     code, out = run(capsys, "--json", "sommers-dual", "D:<[]>[2,2]I")
-    assert code == 0 and json.loads(out)["dual"]["decoration"] == "II"
+    doc = json.loads(out)
+    assert code == 0 and doc["dual"]["decoration"] == "II"
+    assert doc["witness"]["core"] == "D:<[]>[]I"
+    code, out = run(capsys, "d-map", "D:<[]>[2,2]I")
+    assert code == 0 and out == "degree 1 cover of D:[2,2]II"
 
 
 def test_round_trip_output(capsys):

@@ -6,7 +6,8 @@ from orbitduality.covers import (
     _step_flags, _transport_subgroup, rigidity, saturation_chain, singular_rows,
 )
 from orbitduality.infchar import nu0_eta0
-from orbitduality.verify import iter_special
+from orbitduality.partitions import is_very_even
+from orbitduality.verify import iter_reduced_marked, iter_special
 
 
 def test_lusztig_cover_and_rigidity():
@@ -150,3 +151,24 @@ def test_rank_order_independence():
     for kind, n in (("B", 9), ("C", 8), ("D", 8)):
         for m in iter_special(kind, n):
             assert rank_with(m, True) == rank_with(m, False)
+
+
+def _decorated_reduced_data(max_size):
+    """Every decorated reduced datum of size at most max_size: a very even
+    type-D partition, whose reduced marking is empty, with each decoration."""
+    return [MarkedPartition("D", m.lam, m.nu, dec)
+            for n in range(2, max_size + 1, 2) for m in iter_reduced_marked("D", n)
+            if is_very_even(m.lam) for dec in ("I", "II")]
+
+
+def test_decorated_data_saturate_back_from_their_cores():
+    data = _decorated_reduced_data(16)
+    assert len(data) == 22
+    for m in data:
+        gl, core = sat_inverse(m)
+        assert sat_la([(a,) for a in gl], core) == m, str(m)
+
+
+def test_d_map_base_of_a_decorated_datum_is_its_dual():
+    for m in _decorated_reduced_data(16):
+        assert d_map(m).base == sommers_dual(m), str(m)

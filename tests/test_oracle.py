@@ -79,10 +79,10 @@ def test_membership_examples():
 
 
 def test_a_point_of_another_length_leaves_the_memo_as_it_was():
-    # (5,3,1) has the marked side of the lift nu=(5,1), eta=(3), so its empty
-    # other side is asked about at ambient 3; stored, that failure would hide
-    # the orbit of the empty side at ambient 1, which the candidate (5,3,1,1)
-    # needs for the lift nu=(5,3), eta=(1)
+    # (5,3,1) has the marked side of the lift nu=(5,1), eta=(3); its empty
+    # other side gets the Richardson orbit B:[1], which is stored and correct,
+    # and (5,3,1) is rejected because its eta, (3), is not that orbit.  The
+    # candidate (5,3,1,1) reads the stored B:[1] for the lift nu=(5,3), eta=(1)
     memo = {}
     test = membership_tester(parse_marked("B:<[5,1]>[5,3,1]"), memo)
     assert not test((5, 3, 1))

@@ -1,8 +1,11 @@
+import ast
+import glob
 import itertools
+import os
 
 import pytest
 
-from orbitduality import verify
+from orbitduality import partitions, verify
 from orbitduality.partitions import (
     as_partition, collapse, dominates, drop_box, add_unit, bump_first,
     drop_column_box, enumerate_partitions, enumerate_type, format_partition,
@@ -259,3 +262,55 @@ def test_parse_format_roundtrip():
         parse_partition("[1,2]")
     with pytest.raises(ValueError):
         as_partition((2, -1))
+
+
+def _is_b_test(node):
+    """A lone `== "B"` or `!= "B"` comparison."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            and any(isinstance(side, ast.Constant) and side.value == "B"
+                    for side in (node.left, node.comparators[0])))
+
+
+def _is_int(node):
+    """An integer literal, a negative one included."""
+    try:
+        return type(ast.literal_eval(node)) is int
+    except ValueError:
+        return False
+
+
+def _size_parity_rules(path):
+    """What in one module spells out a per-kind parity: a dict literal
+    mapping exactly B, C and D to integers ("table"), or a `== "B"` test
+    computed with, as an operand of arithmetic, of a comparison, of and/or,
+    or as the test of a conditional expression ("B test").  A plain
+    `if kind == "B":` branch is neither."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    rules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [k.value if isinstance(k, ast.Constant) else None for k in node.keys]
+            if sorted(keys, key=str) == ["B", "C", "D"] and all(map(_is_int, node.values)):
+                rules.add("table")
+        operands = ()
+        if isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.Compare):
+            operands = (node.left, *node.comparators)
+        elif isinstance(node, ast.BoolOp):
+            operands = node.values
+        elif isinstance(node, ast.IfExp):
+            operands = (node.test,)
+        if any(map(_is_b_test, operands)):
+            rules.add("B test")
+    return rules
+
+
+def test_only_partitions_spells_out_a_size_parity():
+    package = os.path.dirname(partitions.__file__)
+    found = {os.path.basename(path): _size_parity_rules(path)
+             for path in glob.glob(os.path.join(package, "*.py"))}
+    assert {name: rules for name, rules in found.items() if rules} == {
+        "partitions.py": {"table"}}
