@@ -290,20 +290,18 @@ def _step_flags(a, lam, kind, nu0, eta0):
 
     `abar_changes`: the pseudo-Levi pair component group gains a factor of
     order 2.  `bind_birational`: the dual-side induction step is birational.
-    Both ask whether the height of a in eta0 has the kind's size parity.
+    When a is a row of lam, the group keeps its order and the step is
+    birational.  Otherwise both read the height of a: in eta0 when a has
+    the mark parity, in nu0 when not.  A height counts the rows v >= a, and
+    v > a counts the same rows: nu0 and eta0 split lam, which has no row a.
     """
-    eta_ht = sum(1 for v in eta0 if v >= a)
-    nu_ht = sum(1 for v in nu0 if v >= a)
-    eta_cond = eta_ht % 2 == SIZE_PARITY[kind]
-    fresh = a not in lam
-    abar_changes = (fresh and a % 2 == MARK_PARITY[kind] and eta_cond
-                    and (kind != "D" or bool(eta0)))
-    if a % 2 == MARK_PARITY[kind]:
-        blocked = kind == "D" and (not lam or is_very_even(lam))
-        non_birational = fresh and eta_cond and not blocked
-    else:
-        non_birational = fresh and nu_ht % 2 == 1
-    return StepFlags(abar_changes, not non_birational)
+    if a in lam:
+        return StepFlags(False, True)
+    if a % 2 != MARK_PARITY[kind]:
+        return StepFlags(False, sum(1 for v in nu0 if v >= a) % 2 == 0)
+    eta_cond = sum(1 for v in eta0 if v >= a) % 2 == SIZE_PARITY[kind]
+    blocked = kind == "D" and (not lam or is_very_even(lam))
+    return StepFlags(eta_cond and (kind != "D" or bool(eta0)), not eta_cond or blocked)
 
 
 # ---------------------------------------------------------------------------

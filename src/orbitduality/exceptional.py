@@ -148,8 +148,8 @@ def load_gamma_table(group):
 def _load(group, name, keys):
     """One table file, its shape checked: an object whose "rows" is a list
     of objects holding `keys`, every label and orbit a string, and every
-    weight a string with one coordinate per simple root.  Any other shape
-    is a ValueError naming the file and the row."""
+    weight a string (...) or (...)/d with one coordinate per simple root.
+    Any other shape is a ValueError naming the file and the row."""
     path = os.path.join(tables_dir(), name)
     with open(path) as fh:
         table = json.load(fh)
@@ -178,6 +178,9 @@ def _load(group, name, keys):
             if not isinstance(text, str) or text.count(",") + 1 != rank:
                 raise ValueError("%s: weight %r does not have %d coordinates"
                                  % (where, text, rank))
+            body = text.strip().rsplit("/", 1)[0]
+            if not (body.startswith("(") and body.endswith(")")):
+                raise ValueError("%s: weight %r is not (...) or (...)/d" % (where, text))
     return table
 
 
@@ -485,7 +488,6 @@ def _dominant_points_within(h, budget):
             rec(idx + 1, q)
             v += 1
             q = partial + v * (cross + h[idx][idx] * v)
-        c[idx] = 0
 
     rec(0, 0)
     return out

@@ -2,9 +2,7 @@
 
 Coordinates are stored doubled (as integers), so every norm is an exact
 rational with denominator dividing 4.  The Weyl group acts by signed
-permutations in types B and C and by evenly-signed permutations in type D;
-canonical forms sort absolute values and, in type D, remember the sign of
-the coordinate product.
+permutations in types B and C and by evenly-signed permutations in type D.
 """
 
 from dataclasses import dataclass
@@ -26,19 +24,6 @@ class Weight:
 
     def __str__(self):
         return format_weight(self)
-
-
-def canonical(w):
-    """Canonical form under the Weyl group: sorted absolute values plus, in
-    type D, the sign of the coordinate product (normalized to + as soon as a
-    zero coordinate is present)."""
-    body = tuple(sorted((abs(h) for h in w.halves), reverse=True))
-    sign = 1
-    if w.kind == "D" and all(h != 0 for h in w.halves):
-        for h in w.halves:
-            if h < 0:
-                sign = -sign
-    return Weight(w.kind, body), sign
 
 
 def rho_plus(q, length):

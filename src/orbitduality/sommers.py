@@ -148,8 +148,6 @@ def _valid_block(m, index, lam, nu, last):
         return False
     if kind == "C" and not last and len(lam) % 2 == 1:
         return False
-    if kind == "C" and not last and len(nu) % 2 == 1:
-        return False
     return _is_basic_or_unmarked(m, block_kind, lam, nu, last)
 
 

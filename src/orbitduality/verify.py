@@ -32,12 +32,11 @@ from .compgroups import (
     group_data,
     is_distinguished_marked,
     is_special_marked,
-    kernel_subgroup,
     markable_parts,
     marking_subsets,
 )
 from .sommers import _sommers_dual, require_reduced, sat_inverse, sommers_dual
-from .infchar import canonical, gamma_la, gamma_rigid_cover, nu0_eta0, rho_plus
+from .infchar import gamma_la, gamma_rigid_cover, nu0_eta0, rho_plus
 from .covers import (
     ChainTable,
     _pair_abar_rank,
@@ -177,14 +176,16 @@ def verify_minimality(max_rank=5, jobs=1):
 
 def verify_gamma(max_rank=5):
     """The datum weight equals the cover weight of its dual orbit, for every
-    special distinguished datum."""
+    special distinguished datum.  Both come out of `rho_plus`, decreasing
+    and nonnegative, so they are compared as they are, with no Weyl
+    normal form."""
     failures = []
     data = _data(iter_special_distinguished, max_rank)
     for m in data:
-        lhs = canonical(gamma_la(m))
-        rhs = canonical(gamma_rigid_cover(sommers_dual(m)))
+        lhs = gamma_la(m)
+        rhs = gamma_rigid_cover(sommers_dual(m))
         if lhs != rhs:
-            failures.append(_failure("gamma", m, weight=str(lhs[0]), cover_weight=str(rhs[0])))
+            failures.append(_failure("gamma", m, weight=str(lhs), cover_weight=str(rhs)))
     return _report("gamma consistency", len(data), failures)
 
 
@@ -493,8 +494,9 @@ def verify_kernel(max_size=14, max_rank=6):
                    max_rank)
     checked += len(orbits)
     for o in orbits:
-        quotient = 2 ** group_data(o).a_rank // len(kernel_subgroup(o.parts, o.kind))
-        if quotient != 2 ** abar_rank(o.parts, o.kind):
+        cover = lusztig_cover(o)
+        quotient = 2 ** group_data(o).a_rank // len(cover.subgroup)
+        if quotient != cover.degree:
             failures.append(_failure("quotient order", o, quotient=quotient))
     for q1 in range(1, TWO_ROW_NORM_TOP + 1):
         for q2 in range(1, q1 + 1):

@@ -55,6 +55,11 @@ def test_induce_saturate(capsys):
     assert code == 0 and out == "C:[4,4,4,2,2] birational=False"
     code, out = run(capsys, "saturate", "gl(4)+so(9)", "[4];[5,3,1]")
     assert code == 0 and out == "B:[5,4,4,3,1]"
+    # a type-D result is decorated only when it comes from a type-D factor
+    code, out = run(capsys, "--json", "induce", "gl(2)", "[1,1];[]", "--kind", "D")
+    assert code == 0 and json.loads(out)["decoration_unknown"] is True
+    code, out = run(capsys, "--json", "induce", "gl(2)+so(2)", "[2];[1,1]")
+    assert code == 0 and json.loads(out)["decoration_unknown"] is False
 
 
 def test_json_mode_single_document(capsys):
@@ -108,6 +113,9 @@ def test_text_outputs(capsys):
     assert code == 0 and out == "(2,1,0)"
     code, out = run(capsys, "gamma-group", "B:<[5,1]>[5,4,4,3,1]")
     assert code == 0 and out == "galois rank 1, quotient rank 0"
+    # a special datum whose core dual has an adjoint rank of r - 2, r >= 3
+    code, out = run(capsys, "gamma-group", "D:<[3,1]>[7,5,3,3,1,1]")
+    assert code == 0 and out == "galois rank 1, quotient rank 1"
     code, out = run(capsys, "table", "g2")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 4

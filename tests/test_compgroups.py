@@ -216,6 +216,9 @@ def test_special_test_matches_its_height_form():
     verdicts = [is_special_marked(m) for m in data]
     assert verdicts == [_is_special_by_heights(m) for m in data]
     assert len(data) == 6478 and 0 < sum(verdicts) < len(data)
+    # rank 13: three marks above the constrained part 1
+    m = parse_marked("C:<[6,4,2]>[6,6,4,4,2,2,1,1]")
+    assert is_special_marked(m) == _is_special_by_heights(m)
 
 
 def test_lift_classes_partition_markings():

@@ -29,6 +29,8 @@ def test_rigidity_h2_needs_support():
 def test_rigidity_leaf_criterion():
     # a gap of 2 at the constrained (odd) parity of type C is a leaf
     assert not rigidity(Orbit("C", 8, (3, 3, 1, 1)), {frozenset()}).no_codim2_leaves
+    # a row gap of exactly 3 is a leaf
+    assert not rigidity(Orbit("C", 6, (4, 1, 1)), {frozenset()}).no_codim2_leaves
     # the gap of 2 below 4 in C:[4,2] is a leaf unless the subgroup misses {4,2}
     o = Orbit("C", 6, (4, 2))
     assert frozenset({4, 2}) in a_group_elements(o)

@@ -463,6 +463,18 @@ def _one_coordinate_entry(table):
     table["rows"][3]["entries"][0][1] = "(1)"
 
 
+def _unparenthesized_gamma(table):
+    table["rows"][1]["gamma"] = "1,1"
+
+
+def _two_denominators(table):
+    table["rows"][1]["gamma_d"] = "(1,1)/2/3"
+
+
+def _entry_with_a_number_for_label(table):
+    table["rows"][2]["entries"][0][0] = 2
+
+
 # a corruption of g2.json -> what its one error line must carry after the
 # file's path
 MALFORMED_TABLES = {
@@ -470,6 +482,12 @@ MALFORMED_TABLES = {
                                     "gamma_d"),
     "list file": (_rows_as_a_list, ": a table is an object with a list of rows"),
     "short weight": (_one_coordinate_entry, " rows[3]: weight '(1)' does not have 2 coordinates"),
+    "unparenthesized weight": (_unparenthesized_gamma,
+                               " rows[1]: weight '1,1' is not (...) or (...)/d"),
+    "two denominators": (_two_denominators,
+                         " rows[1]: weight '(1,1)/2/3' is not (...) or (...)/d"),
+    "label not a string": (_entry_with_a_number_for_label,
+                           " rows[2]: entries are [label, weight] pairs"),
 }
 
 

@@ -1,12 +1,14 @@
 import pytest
 
+from orbitduality import verify
 from orbitduality.orbits import parse_orbit
 from orbitduality.compgroups import parse_marked
 from orbitduality.infchar import (
-    Weight, canonical, f_transform, format_weight, gamma_la, gamma_rigid_cover,
+    Weight, f_transform, format_weight, gamma_la, gamma_rigid_cover,
     rho_plus, split_by_multiplicity, spread_pairs,
 )
 from orbitduality.partitions import enumerate_partitions, union
+from orbitduality.sommers import sommers_dual
 
 
 def test_rho_plus():
@@ -69,12 +71,15 @@ def test_gamma_la_kind_is_dual_side():
     assert gamma_la(parse_marked("C:<[2]>[2,2]")).kind == "B"
 
 
-def test_canonical_and_equivalence():
-    assert canonical(Weight("B", (-1, 3)))[0].halves == (3, 1)
-    # type D keeps the sign of the coordinate product until a zero appears
-    assert canonical(Weight("D", (2, -2))) != canonical(Weight("D", (2, 2)))
-    assert canonical(Weight("D", (2, 0, -2))) == canonical(Weight("D", (2, 2, 0)))
-    assert canonical(Weight("B", (1,))) != canonical(Weight("C", (1,)))
+def test_gamma_suite_weights_are_decreasing_and_nonnegative():
+    # the premise of the gamma suite's direct comparison: both weights are
+    # already their own Weyl normal form
+    data = verify._data(verify.iter_special_distinguished, 8)
+    for m in data:
+        for w in (gamma_la(m), gamma_rigid_cover(sommers_dual(m))):
+            assert list(w.halves) == sorted(w.halves, reverse=True), (str(m), w)
+            assert min(w.halves, default=0) >= 0, (str(m), w)
+    assert len(data) == 129
 
 
 def test_format_weight():

@@ -170,6 +170,31 @@ def test_shell_enumerator_against_naive():
                 assert sorted(class_shell(n, bound, parity)) == one_class
 
 
+def test_shell_size_counts_the_naive_shell_at_the_lift_class_sizes():
+    # a dominant vector of length a + b with exactly a coordinates of the
+    # mark parity, summed over the class sizes (a, b) of the lifts, on every
+    # distinguished datum through rank 4
+    count = 0
+    for kind, sizes in verify.type_sizes(4).items():
+        parity = MARK_PARITY[kind]
+        for n in sizes:
+            for lam in enumerate_type(kind, n):
+                for nu in all_markings(lam, kind):
+                    m = MarkedPartition(kind, lam, nu)
+                    if not is_distinguished_marked(m):
+                        continue
+                    count += 1
+                    cert = verify_min(m)
+                    bound4 = sum(h * h for h in cert.candidate.halves)
+                    classes = {(size(lift) // 2, size(multiset_difference(lam, lift)) // 2)
+                               for lift in equivalent_markings(m)}
+                    naive = sum(1 for a, b in classes
+                                for pt in dominant_shell_naive(a + b, bound4)
+                                if sum(h % 2 == parity for h in pt) == a)
+                    assert cert.shell_size == naive, str(m)
+    assert count == 41
+
+
 def _whole_shell_mismatches():
     # the least norm and minimisers over every dominant point of the shell,
     # each tested by a fresh `oracle.membership_tester`, against verify_min,
@@ -393,6 +418,16 @@ def test_every_lift_side_has_the_signature_of_the_proof():
                             assert side in oracle._side_table(k, size(side), p)
                         lifts += 1
     assert lifts == 649
+
+
+def test_signature_minimum_keeps_every_lift_that_ties(monkeypatch):
+    # every side is given norm 0, so the lifts nu = (5,1) and nu = (5,3) of
+    # B:<[5,1]>[5,3,1] tie at distinct points, and both are minimisers
+    real = oracle._side_table
+    monkeypatch.setattr(oracle, "_side_table", lambda kind, ambient, parity: {
+        orbit: (0, halves) for orbit, (_, halves) in real(kind, ambient, parity).items()})
+    assert signature_minimum(parse_marked("B:<[5,1]>[5,3,1]")) == (
+        0, ((5, 3, 2, 1), (5, 3, 1, 1)))
 
 
 def test_a_tie_in_a_side_table_is_an_error_naming_the_orbit(monkeypatch):

@@ -65,7 +65,8 @@ BREAKS = {
     "richardson": ("ms_lift", lambda m, splits=None: MSLift(Orbit("B", 1, (1,)),
                                                             Orbit("B", 1, (1,)))),
     "tables": ("gamma_la", _wrong_weight),
-    "kernel": ("abar_rank", lambda lam, kind: -1),
+    "kernel": ("lusztig_cover",
+               lambda o: dataclasses.replace(covers.lusztig_cover(o), degree=3)),
 }
 
 
