@@ -97,18 +97,22 @@ def _gram_matrix(group):
     return tuple(tuple(inv[i][j] * d[j] for j in range(len(d))) for i in range(len(d)))
 
 
+def _split_weight(text):
+    """(coordinate fields, denominator text) of "(...)" or "(...)/d", the
+    denominator "1" without "/d"; any other shape is a ValueError."""
+    s, d = text.strip().rsplit("/", 1) if "/" in text else (text.strip(), "1")
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ValueError("weight %r is not (...) or (...)/d" % text)
+    return s[1:-1].split(","), d
+
+
 def parse_gamma(text):
     """Parse "(1,1,2,2)/4" into a tuple of Fractions."""
-    s = text.strip()
-    den = 1
-    if "/" in s:
-        s, d = s.rsplit("/", 1)
-        den = int(d)
-        if den < 1:
-            raise ValueError("weight denominator must be at least 1: %r" % text)
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError("weight text must be parenthesized")
-    return tuple(Fraction(int(x), den) for x in s[1:-1].split(","))
+    fields, d = _split_weight(text)
+    den = int(d)
+    if den < 1:
+        raise ValueError("weight denominator must be at least 1: %r" % text)
+    return tuple(Fraction(int(x), den) for x in fields)
 
 
 def _form(g, c):
@@ -174,13 +178,13 @@ def _load(group, name, keys):
                 isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) for e in entries)):
             raise ValueError("%s: entries are [label, weight] pairs" % where)
         for text in [row["gamma"], row["gamma_d"]] + [e[1] for e in entries]:
-            # `parse_gamma` reads one coordinate per comma-separated field
-            if not isinstance(text, str) or text.count(",") + 1 != rank:
+            try:
+                fields = _split_weight(text)[0] if isinstance(text, str) else []
+            except ValueError as e:
+                raise ValueError("%s: %s" % (where, e)) from None
+            if len(fields) != rank:
                 raise ValueError("%s: weight %r does not have %d coordinates"
                                  % (where, text, rank))
-            body = text.strip().rsplit("/", 1)[0]
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ValueError("%s: weight %r is not (...) or (...)/d" % (where, text))
     return table
 
 

@@ -4,17 +4,18 @@ Each mutant makes one change to one module of `src/orbitduality`: it swaps
 one comparison (`==`/`!=`, `<`/`<=`, `>`/`>=`, `in`/`not in`) or adds 1 to
 one integer literal (bools excluded).  A mutant is run against
 
-    python -m orbitduality verify all --max-rank N
+    python -m orbitduality verify all --max-rank 6
 
 in a copy of the repository under a temporary directory, and gets one of
 four verdicts: killed (nonzero exit, no traceback), traceback (nonzero
 exit with a traceback), timeout, or survived (exit 0).  With `--tier1`
-every survivor is run against the Tier-1 tests as well.  One JSON line per
-mutant goes to stdout (or `--out`), module by module and in source order
-within each, and a table of counts per module goes to stderr.  Each run is
+every survivor is run against the Tier-1 tests as well and gets a second
+verdict.  Mutants run one per CPU at a time.  One JSON line per mutant
+goes to stdout, module by module and in source order within each, and the
+progress and a table of counts per module go to stderr.  Each run is
 bounded in time and in address space (`resource`, so Unix only).
 
-    python3 tools/mutants.py --modules covers.py sommers.py oracle.py --tier1
+    python3 tools/mutants.py --modules covers.py sommers.py oracle.py --tier1 > survey.jsonl
 
 Standard library only.  The tests of this script are in
 `tools/test_mutants.py` (`python3 -m pytest -q tools`).
@@ -52,6 +53,11 @@ SWAPS = {
 
 # seconds before a run of verify, or of the Tier-1 tests, is a timeout
 VERIFY_TIMEOUT, TIER1_TIMEOUT = 60, 180
+
+# the --max-rank of the verify run
+VERIFY_RANK = 6
+
+VERDICTS = ("killed", "traceback", "timeout", "survived")
 
 # Each run gets at most this much address space, so that a mutant which
 # makes a loop allocate without end stops at a MemoryError.
@@ -165,9 +171,9 @@ def _run(argv, cwd, timeout):
     return "killed", proc.returncode
 
 
-def verify_argv(max_rank):
+def verify_argv():
     return [sys.executable, "-c", _LIMITED, "orbitduality", "verify", "all",
-            "--max-rank", str(max_rank)]
+            "--max-rank", str(VERIFY_RANK)]
 
 
 def tier1_argv():
@@ -175,7 +181,7 @@ def tier1_argv():
             "--continue-on-collection-errors", "tests"]
 
 
-def survey(chosen, jobs=2, max_rank=6, tier1=False, progress=None):
+def survey(chosen, jobs, tier1=False, progress=None):
     """Run every site in `chosen` (a list of Sites) and return one record
     (a dict) per site, in the order given.  Each of `jobs` threads works in
     its own copy of the repository, writes one mutant at a time into it and
@@ -196,7 +202,7 @@ def survey(chosen, jobs=2, max_rank=6, tier1=False, progress=None):
                 path.write_bytes(mutate(original, site))
                 try:
                     record = asdict(site)
-                    record["verify"], record["exit"] = _run(verify_argv(max_rank), copy,
+                    record["verify"], record["exit"] = _run(verify_argv(), copy,
                                                            VERIFY_TIMEOUT)
                     if tier1 and record["verify"] == "survived":
                         record["tier1"] = _run(tier1_argv(), copy, TIER1_TIMEOUT)[0]
@@ -219,17 +225,18 @@ def survey(chosen, jobs=2, max_rank=6, tier1=False, progress=None):
 
 
 def summary(records, tier1):
-    """A text table of verdict counts per module."""
-    columns = ["sites", "killed", "traceback", "timeout", "survived"]
+    """A text table of verdict counts per module: the verify verdicts of
+    every site and, with `tier1`, the Tier-1 verdicts of its survivors."""
+    columns = ["sites"] + list(VERDICTS)
     if tier1:
-        columns.append("survived tier1")
+        columns += ["tier1 " + v for v in VERDICTS]
     rows = {}
     for r in records:
         row = rows.setdefault(r["module"], dict.fromkeys(columns, 0))
         row["sites"] += 1
         row[r["verify"]] += 1
-        if r.get("tier1") == "survived":
-            row["survived tier1"] += 1
+        if "tier1" in r:
+            row["tier1 " + r["tier1"]] += 1
     lines = ["| module | " + " | ".join(columns) + " |",
              "| --- " * (len(columns) + 1) + "|"]
     for module in sorted(rows):
@@ -242,16 +249,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--modules", nargs="+", metavar="FILE",
                         help="module files of src/orbitduality (default: all)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="mutants run at once, at most one per CPU (default 2)")
-    parser.add_argument("--max-rank", type=int, default=6,
-                        help="--max-rank of the verify run (default 6)")
     parser.add_argument("--tier1", action="store_true",
                         help="run the Tier-1 tests on every mutant that verify leaves")
-    parser.add_argument("--out", help="file for the JSON lines (default stdout)")
     args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= (os.cpu_count() or 1):
-        parser.error("--jobs must be between 1 and the number of CPUs")
     modules = args.modules or sorted(p.name for p in (ROOT / PACKAGE).glob("*.py"))
     chosen = []
     for module in modules:
@@ -265,12 +265,8 @@ def main(argv=None):
                                     " / tier1 %s" % record["tier1"] if "tier1" in record else ""),
               file=sys.stderr, flush=True)
 
-    records = survey(chosen, args.jobs, args.max_rank, args.tier1, progress)
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    records = survey(chosen, os.cpu_count() or 1, args.tier1, progress)
+    sys.stdout.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     print(summary(records, args.tier1), file=sys.stderr)
     return 0
 

@@ -39,3 +39,14 @@ def test_a_killed_site_and_a_proved_equivalent_height_site():
     records = mutants.survey([member, heights[0]], jobs=2)
     assert [r["verify"] for r in records] == ["killed", "survived"]
     assert records[0]["exit"] == 1 and records[1]["exit"] == 0
+
+
+def test_the_table_shows_every_tier1_verdict():
+    records = [{"module": "m.py", "verify": "killed"},
+               {"module": "m.py", "verify": "survived", "tier1": "timeout"},
+               {"module": "m.py", "verify": "survived", "tier1": "survived"}]
+    header, _, row = mutants.summary(records, tier1=True).splitlines()
+    counts = dict(zip(header.strip("| ").split(" | "), row.strip("| ").split(" | ")))
+    assert counts == {"module": "`m.py`", "sites": "3", "killed": "1", "traceback": "0",
+                      "timeout": "0", "survived": "2", "tier1 killed": "0",
+                      "tier1 traceback": "0", "tier1 timeout": "1", "tier1 survived": "1"}
