@@ -9,7 +9,7 @@ lam by subsets of markable parts parameterize the pairs (orbit, conjugacy
 class in Abar) that drive the duality maps.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .partitions import (
@@ -21,7 +21,7 @@ from .partitions import (
     parse_partition,
     size,
 )
-from .orbits import Orbit, decoration_problem, split_decoration
+from .orbits import Checked, Orbit, decoration_problem, split_decoration
 
 IDENTITY = frozenset()
 
@@ -63,12 +63,9 @@ def a_group_elements(orbit):
     return [frozenset(nu) for nu in all_markings(orbit.parts, orbit.kind)]
 
 
-@dataclass(frozen=True)
-class GroupData:
-    eps_values: tuple      # distinct parts of lam^eps
-    a_rank: int            # log2 |A(O)|
-    a_ad_rank: int         # log2 |A^ad(O)|
-    s1_nonempty: bool
+# eps_values: the distinct parts of lam^eps; a_rank, a_ad_rank: log2 |A(O)|
+# and log2 |A^ad(O)|
+GroupData = namedtuple("GroupData", "eps_values a_rank a_ad_rank s1_nonempty")
 
 
 def group_data(orbit):
@@ -135,25 +132,22 @@ def kernel_subgroup(lam, kind):
     return span(gens)
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
+class MarkedPartition(Checked, namedtuple("MarkedPartition", "kind lam nu decoration")):
     """A type-`kind` partition with a multiplicity-free set of parts marked.
     `marking_problem` is the one definition of a valid marked datum.
 
     Marks are odd in types B/D and even in type C; types B and D require an
     even number of marks (type C pads with a formal zero when needed).
     """
-    kind: str
-    lam: tuple
-    nu: tuple
-    decoration: str = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_partition(self.lam))
-        object.__setattr__(self, "nu", as_partition(self.nu))
-        problem = marking_problem(self.kind, self.lam, self.nu, self.decoration)
+    def __new__(cls, kind, lam, nu, decoration=None):
+        lam = as_partition(lam)
+        nu = as_partition(nu)
+        problem = marking_problem(kind, lam, nu, decoration)
         if problem:
             raise ValueError(problem)
+        return tuple.__new__(cls, (kind, lam, nu, decoration))
 
     @property
     def eta(self):

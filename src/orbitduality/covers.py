@@ -4,10 +4,10 @@ marked data with its cover degree, and the two independent computations of
 the Galois group of the maximal equivalent cover.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import EPSILON, SIZE_PARITY, is_very_even, size
-from .orbits import InducedOrbit, Orbit, dual_orbit, induce
+from .orbits import Orbit, dual_orbit, induce
 from .compgroups import (
     MARK_PARITY,
     MarkedPartition,
@@ -30,23 +30,18 @@ from .sommers import (
 from .infchar import _route_pair, nu0_eta0
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(namedtuple("CoverSpec", "base degree subgroup", defaults=(None,))):
     """A cover of `base` given by a subgroup of A(base); `degree` is the index.
 
     `subgroup` is None when only the degree (not the subgroup itself) is
     known: transporting subgroups through a non-birational induction step is
     not part of this computation.
     """
-    base: Orbit
-    degree: int
-    subgroup: frozenset = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RigidityFlags:
-    no_codim2_leaves: bool
-    h2_zero: bool
+class RigidityFlags(namedtuple("RigidityFlags", "no_codim2_leaves h2_zero")):
+    __slots__ = ()
 
     @property
     def birationally_rigid(self):
@@ -147,13 +142,10 @@ def _apply_map(mapping, element):
 # the duality map on marked data
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(namedtuple("ChainStep", "a datum induced")):
     """Saturation of `datum` by one principal gl(a); `induced` is the
     induction of D(datum) from gl(a), which equals D of the saturated datum."""
-    a: int
-    datum: MarkedPartition
-    induced: InducedOrbit
+    __slots__ = ()
 
 
 def _induce_dual(a, dual, m):
@@ -231,12 +223,10 @@ def _transport_subgroup(big, a, subgroup):
 # the two Galois-group computations
 
 
-@dataclass(frozen=True)
-class MSLift:
+class MSLift(namedtuple("MSLift", "factor1 factor2")):
     """The pseudo-Levi pair attached to a marked datum: two classical factors
     with one orbit each."""
-    factor1: Orbit
-    factor2: Orbit
+    __slots__ = ()
 
 
 # Per type: the kinds of the two factors of the pseudo-Levi pair, the marked
@@ -278,10 +268,7 @@ def abar_r_rank(m):
     return _pair_abar_rank(m.kind, (lift.factor1.parts, lift.factor2.parts))
 
 
-@dataclass(frozen=True)
-class StepFlags:
-    abar_changes: bool
-    bind_birational: bool
+StepFlags = namedtuple("StepFlags", "abar_changes bind_birational")
 
 
 def _step_flags(a, lam, kind, nu0, eta0):
@@ -308,15 +295,11 @@ def _step_flags(a, lam, kind, nu0, eta0):
 # the saturation chains of a family, each step walked once
 
 
-@dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(namedtuple("ChainEntry", "dual rank degree_log2 split")):
     """What a `ChainTable` keeps of a datum: its dual D(m), its Galois rank
     (`chain_rank`), log2 of its cover degree (`chain_degree`) and its split
     (`nu0_eta0`)."""
-    dual: Orbit
-    rank: int
-    degree_log2: int
-    split: tuple
+    __slots__ = ()
 
 
 class ChainTable:

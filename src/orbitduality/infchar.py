@@ -5,22 +5,20 @@ rational with denominator dividing 4.  The Weyl group acts by signed
 permutations in types B and C and by evenly-signed permutations in type D.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import EPSILON, as_partition, size, transpose, union, uparrow
-from .orbits import DUAL_KIND
+from .orbits import DUAL_KIND, Checked
 from .compgroups import MARK_PARITY, MarkedPartition, canonical_split
 from .sommers import _strip_tuples
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Checked, namedtuple("Weight", "kind halves")):
     """A vector in the weight space, with doubled integer coordinates."""
-    kind: str
-    halves: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "halves", tuple(int(h) for h in self.halves))
+    def __new__(cls, kind, halves):
+        return tuple.__new__(cls, (kind, tuple(int(h) for h in halves)))
 
     def __str__(self):
         return format_weight(self)

@@ -11,7 +11,7 @@ signature, and each signature has one dominant vector of least norm.
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -19,12 +19,11 @@ from .partitions import SIZE_PARITY, collapse, enumerate_partitions, size, trans
 from .orbits import Orbit
 from .compgroups import (
     MARK_PARITY,
-    MarkedPartition,
     equivalent_markings,
     is_distinguished_marked,
     multiset_difference,
 )
-from .infchar import Weight, gamma_la
+from .infchar import gamma_la
 from .covers import PSEUDO_LEVI
 
 
@@ -175,17 +174,13 @@ def class_shell(n, bound4, parity):
     return out
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "datum candidate shell_size shell_minimum")):
     """`shell_size` counts the shell points within the candidate's norm, at
     the class sizes some lift accepts, whether the side check dropped them
     or the membership test confirmed them.  `shell_minimum` is (least norm times 4, dominant minimisers) of
     the admissible points in the candidate's shell; (None, ()) when it holds
     none."""
-    datum: MarkedPartition
-    candidate: Weight
-    shell_size: int
-    shell_minimum: tuple
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -7,7 +7,7 @@ Levi subalgebras, the induced-orbit birationality test, and the duality map
 exchanging the B and C families (fixing D).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import (
     SIZE_PARITY,
@@ -30,28 +30,35 @@ from .partitions import (
 DUAL_KIND = {"B": "C", "C": "B", "D": "D"}
 
 
-@dataclass(frozen=True)
-class Orbit:
-    kind: str
-    ambient: int
-    parts: tuple
-    decoration: str = None
+class Checked:
+    """A base for a record whose `__new__` checks its fields: `_make`, and
+    so `_replace`, builds through `__new__` as well."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("B", "C", "D"):
-            raise ValueError("unknown kind %r" % (self.kind,))
-        object.__setattr__(self, "parts", as_partition(self.parts))
-        n = sum(self.parts)
-        if n != self.ambient:
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Orbit(Checked, namedtuple("Orbit", "kind ambient parts decoration")):
+    __slots__ = ()
+
+    def __new__(cls, kind, ambient, parts, decoration=None):
+        if kind not in ("B", "C", "D"):
+            raise ValueError("unknown kind %r" % (kind,))
+        parts = as_partition(parts)
+        n = sum(parts)
+        if n != ambient:
             raise ValueError("partition size %d does not match ambient %d"
-                             % (n, self.ambient))
-        if not is_type(self.parts, self.kind):
+                             % (n, ambient))
+        if not is_type(parts, kind):
             raise ValueError("%s is not a type-%s partition"
-                             % (format_partition(self.parts), self.kind))
-        if self.decoration is not None:
-            problem = decoration_problem(self.kind, self.parts, self.decoration)
+                             % (format_partition(parts), kind))
+        if decoration is not None:
+            problem = decoration_problem(kind, parts, decoration)
             if problem:
                 raise ValueError(problem)
+        return tuple.__new__(cls, (kind, ambient, parts, decoration))
 
     def __str__(self):
         return format_orbit(self)
@@ -106,12 +113,8 @@ def saturate(gl_orbits, core):
     return Orbit(core.kind, size(lam), lam, dec)
 
 
-@dataclass(frozen=True)
-class InducedOrbit:
-    orbit: Orbit
-    birational: bool
-    collapsed: bool = False
-    decoration_unknown: bool = False
+InducedOrbit = namedtuple("InducedOrbit", "orbit birational collapsed decoration_unknown",
+                          defaults=(False, False))
 
 
 def induce(gl_orbits, core):

@@ -220,8 +220,8 @@ def uparrow2(q):
     """Two-row box move: [q1, q2] -> [q1 + 1, max(q2 - 1, 0)]."""
     if not 1 <= len(q) <= 2:
         raise ValueError("uparrow2 takes a partition with one or two rows")
-    q2 = q[1] if len(q) == 2 else 0
-    return as_partition((q[0] + 1, max(q2 - 1, 0)))
+    # sum(q[1:]) is the second row, or 0 for a one-row q
+    return as_partition((q[0] + 1, max(sum(q[1:]) - 1, 0)))
 
 
 def enumerate_partitions(n):

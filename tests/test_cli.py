@@ -279,10 +279,12 @@ def test_module_entry_point():
 
 def test_no_process_pool_is_imported():
     """Every suite runs in one process, so importing the CLI and the suites
-    loads neither `multiprocessing` nor `concurrent.futures`."""
+    loads neither `multiprocessing` nor `concurrent.futures`.  The records
+    are named tuples, so it loads neither `dataclasses` nor the `inspect`
+    that `dataclasses` imports: each costs every query its start-up time."""
     proc = _run_python("-c", "import sys, orbitduality.cli, orbitduality.verify; "
-                             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-                             "if m in sys.modules))")
+                             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
+                             "'dataclasses', 'inspect') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

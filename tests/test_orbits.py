@@ -5,6 +5,8 @@ import os
 import pytest
 
 from orbitduality import orbits
+from orbitduality.compgroups import MarkedPartition
+from orbitduality.infchar import Weight
 from orbitduality.partitions import dominates
 from orbitduality.orbits import (
     Orbit, bvls_dual, d_exception_by_columns,
@@ -30,6 +32,22 @@ def test_orbit_validation():
         Orbit("B", 3, (3,), "I")
     with pytest.raises(ValueError, match="unknown kind 'A'"):
         Orbit("A", 3, (3,))
+
+
+@pytest.mark.parametrize("record, change, message", [
+    (Orbit("B", 3, (3,)), {"parts": (2, 1)}, "[2,1] is not a type-B partition"),
+    (MarkedPartition("B", (3, 1, 1), (3, 1)), {"nu": (3,)},
+     "types B and D need an even number of marks"),
+    (Weight("B", (1, 1)), {"halves": ("x", 1)}, "invalid literal for int() with base 10: 'x'"),
+], ids=["Orbit", "MarkedPartition", "Weight"])
+def test_replace_and_make_check_as_the_constructor_does(record, change, message):
+    fields = {**record._asdict(), **change}
+    for build in (lambda: type(record)(**fields), lambda: record._replace(**change),
+                  lambda: type(record)._make(fields.values())):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == message
+    assert type(record._replace()) is type(record) and record._replace() == record
 
 
 def test_saturate():

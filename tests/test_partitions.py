@@ -198,8 +198,11 @@ def test_unit_transforms():
     assert uparrow((2,)) == (3,)
     assert uparrow2((2, 0)) == (3,)
     assert uparrow2((3, 3)) == (4, 2)
+    assert uparrow2((3,)) == (4,)
     with pytest.raises(ValueError):
         uparrow((5, 4))
+    with pytest.raises(ValueError, match="one or two rows"):
+        uparrow2((3, 2, 1))
 
 
 def test_uparrow_preserves_size_even_length():

@@ -1,9 +1,8 @@
-import dataclasses
 import json
 
 import pytest
 
-from orbitduality import covers, sommers, verify
+from orbitduality import covers, exceptional, sommers, verify
 from orbitduality.cli import main
 from orbitduality.compgroups import (
     MarkedPartition, is_distinguished_marked, is_special_marked, parse_marked,
@@ -66,7 +65,7 @@ BREAKS = {
                                                             Orbit("B", 1, (1,)))),
     "tables": ("gamma_la", _wrong_weight),
     "kernel": ("lusztig_cover",
-               lambda o: dataclasses.replace(covers.lusztig_cover(o), degree=3)),
+               lambda o: covers.lusztig_cover(o)._replace(degree=3)),
 }
 
 
@@ -103,6 +102,18 @@ def test_text_output_gives_the_failure_total(monkeypatch, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12 and lines[-1] == "  %d failures (first 10 shown)" % total
+
+
+@pytest.mark.parametrize("count", [10, 11])
+def test_text_output_shows_ten_failures_then_the_total(monkeypatch, capsys, count):
+    failures = [{"check": "gamma", "datum": "B:<[]>[1]", "detail": {"i": i}} for i in range(count)]
+    monkeypatch.setattr(verify, "verify_all", lambda max_rank, suites: [
+        {"name": "gamma consistency", "checked": count, "failures": failures, "passed": False}])
+    assert main(["verify", "gamma"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:11] == ["FAIL gamma consistency: %d checks" % count] + [
+        '  gamma B:<[]>[1] {"i": %d}' % i for i in range(10)]
+    assert lines[11:] == ([] if count == 10 else ["  11 failures (first 10 shown)"])
 
 
 def _family_mismatches(max_rank):
@@ -277,8 +288,8 @@ def _flip_first_step(chain, target):
         core_dual, steps = chain(m)
         if m == target:
             induced = steps[0].induced
-            induced = dataclasses.replace(induced, birational=not induced.birational)
-            steps = [dataclasses.replace(steps[0], induced=induced)] + steps[1:]
+            induced = induced._replace(birational=not induced.birational)
+            steps = [steps[0]._replace(induced=induced)] + steps[1:]
         return core_dual, steps
     return flipped
 
@@ -337,7 +348,7 @@ def test_a_flipped_step_is_reported_once(monkeypatch):
     def flipped(a, dual, m):
         induced, dual_m = real(a, dual, m)
         if m == target:
-            induced = dataclasses.replace(induced, birational=not induced.birational)
+            induced = induced._replace(birational=not induced.birational)
         return induced, dual_m
 
     monkeypatch.setattr(covers, "_induce_dual", flipped)
@@ -355,7 +366,7 @@ def _general_route_without_marks(m, route, block_duals=None):
 
 def _equal_step_flags(*args):
     flags = covers._step_flags(*args)
-    return dataclasses.replace(flags, abar_changes=flags.bind_birational)
+    return flags._replace(abar_changes=flags.bind_birational)
 
 
 def _increasing_orbits(kind, n):
@@ -382,6 +393,17 @@ GATES = {
     "order by pairs": ("duality", [(verify, "enumerate_orbits", _increasing_orbits),
                                    (verify, "bvls_dual", _swapped_duals("C", 4)[2])],
                        ("C:[4]", {"below": "C:[2,2]"})),
+    # the exceptional records: every value a table failure holds past its
+    # row's dual, and a classification or shell failure's three fields
+    "tables G2 abar_recomputed": ("tables", [(exceptional, "_classical_abar_rank",
+                                              lambda type_label, orbit_strings: 1)],
+                                  ("G2(a1)", {"values": ["2A1", 1, "1"]})),
+    "classification G2": ("tables", [(exceptional, "subsystem_classify",
+                                      lambda group, coords: ("A1", ""))],
+                          ("G2(a1)", {"entry": "A1+~A1", "found": "A1"})),
+    # every point of the shell has the types of the entry
+    "shell G2": ("tables", [(exceptional, "_subsystems", lambda roots, kcoords, k: ((), ()))],
+                 ("G2(a1)", {"entry": "A1+~A1", "found": ["0", "0"]})),
 }
 
 
