@@ -83,14 +83,20 @@ def height(p, x):
 
 
 def dominates(p, q):
-    """Prefix-sum dominance order; only defined between partitions of equal size.
-
-    With the sizes equal, the common prefix decides: past it, the shorter
-    partition's prefix sum is the size, which the other's cannot exceed.
-    """
+    """Prefix-sum dominance order; only defined between partitions of equal size."""
     if sum(p) != sum(q):
         raise ValueError("dominance compares partitions of equal size only")
-    return all(map(ge, accumulate(p), accumulate(q)))
+    return prefix_dominates(accumulate(p), accumulate(q))
+
+
+def prefix_dominates(s, t):
+    """Dominance of two partitions of one size, read off their prefix sums
+    s and t (iterables, as `itertools.accumulate` gives them).
+
+    The common prefix decides: past it, the shorter partition's prefix sum
+    is the size, which the other's cannot exceed.
+    """
+    return all(map(ge, s, t))
 
 
 def lower_covers(p):
@@ -265,10 +271,43 @@ def enumerate_partitions(n):
 
 
 def enumerate_type(kind, n):
-    """Yield all partitions of n of the given classical type."""
-    for p in enumerate_partitions(n):
-        if is_type(p, kind):
-            yield p
+    """Yield all partitions of n of the given classical type, in the reverse
+    lex order of `enumerate_partitions`; a generator, as that one is (a list
+    built in the same loop was no faster through n = 31).
+
+    Generated, not filtered: a part of the constrained parity is placed two
+    rows at a time and any other part one row, so reverse lex order is that
+    of the placements.  The first partition fills n greedily; each next one
+    lowers the last placement of a part above 1 by one and refills what it
+    and the trailing 1s held, greedily, with parts no larger (ZS1 on
+    placements).  Every refill completes: in types B and D a 1 is one row,
+    and in type C what is left is even.
+    """
+    if n < 0:
+        raise ValueError("partitions are of a nonnegative size")
+    if n % 2 != SIZE_PARITY[kind]:
+        return
+    eps = EPSILON[kind]
+    x, rest, top = [], n, n
+    while True:
+        while rest:
+            v = min(top, rest)
+            if v % 2 == eps and 2 * v > rest:
+                v -= 1
+            k = rest // (2 * v) * 2 if v % 2 == eps else rest // v
+            x += [v] * k
+            rest -= k * v
+            top = v - 1
+        yield tuple(x)
+        ones = x.count(1)
+        h = len(x) - ones - 1
+        if h < 0:
+            return
+        v = x[h]
+        i = h - 1 if v % 2 == eps else h
+        rest = v * (h - i + 1) + ones
+        del x[i:]
+        top = v - 1
 
 
 def parse_partition(text):

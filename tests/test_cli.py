@@ -127,6 +127,13 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+def test_verify_max_rank_defaults_to_5(capsys):
+    assert main(["--json", "verify", "gamma"]) == 0
+    default = capsys.readouterr().out
+    assert main(["--json", "verify", "gamma", "--max-rank", "5"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_verify_with_no_checks_fails(capsys):
     code, out = run(capsys, "verify", "minimality", "--max-rank", "0")
     assert code == 1 and out == "FAIL minimality: 0 checks"

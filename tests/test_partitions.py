@@ -2,6 +2,7 @@ import ast
 import glob
 import itertools
 import os
+import types
 
 import pytest
 
@@ -70,6 +71,27 @@ AS_PARTITION_GRID = [
 def test_enumerate_partitions_matches_the_reference():
     for n in range(21):
         assert list(enumerate_partitions(n)) == list(reference_enumerate_partitions(n))
+
+
+def _typed_mismatches(generate):
+    """The (kind, n) through n = 30 at which `generate(kind, n)` is not, as
+    a list, the partitions of n that `is_type` keeps, in their order."""
+    return [(kind, n) for kind in "BCD" for n in range(31)
+            if list(generate(kind, n))
+            != [p for p in enumerate_partitions(n) if is_type(p, kind)]]
+
+
+def test_enumerate_type_matches_the_filter():
+    assert _typed_mismatches(enumerate_type) == []
+
+
+def test_typed_reference_rejects_constrained_parts_placed_one_row_at_a_time():
+    # the same code with a parity that no part has: every part is placed
+    # one row at a time
+    placed_singly = types.FunctionType(
+        enumerate_type.__code__, {**vars(partitions), "EPSILON": dict.fromkeys("BCD", 2)})
+    assert list(placed_singly("C", 4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert ("B", 5) in _typed_mismatches(placed_singly)
 
 
 def test_negative_size_is_rejected():

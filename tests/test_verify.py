@@ -1,4 +1,6 @@
 import json
+from itertools import accumulate
+from operator import gt, ne
 
 import pytest
 
@@ -11,7 +13,9 @@ from orbitduality.covers import CoverSpec, MSLift, RigidityFlags, ms_lift
 from orbitduality.infchar import Weight, gamma_la, nu0_eta0
 from orbitduality.oracle import richardson_pair
 from orbitduality.orbits import InducedOrbit, Orbit, enumerate_orbits
-from orbitduality.partitions import enumerate_partitions, enumerate_type, lower_covers
+from orbitduality.partitions import (
+    EPSILON, enumerate_partitions, enumerate_type, lower_covers,
+)
 
 
 def test_registry_at_rank_5_gives_the_acceptance_ranges():
@@ -116,6 +120,15 @@ def test_text_output_shows_ten_failures_then_the_total(monkeypatch, capsys, coun
     assert lines[11:] == ([] if count == 10 else ["  11 failures (first 10 shown)"])
 
 
+def test_a_suite_of_one_passing_check_passes(monkeypatch):
+    # the B data alone: B:<[]>[3] is the one special distinguished datum of rank 1
+    real = verify.iter_special_distinguished
+    monkeypatch.setattr(verify, "iter_special_distinguished",
+                        lambda kind, n: real(kind, n) if kind == "B" else ())
+    assert verify.verify_gamma(max_rank=1) == {
+        "name": "gamma consistency", "checked": 1, "failures": [], "passed": True}
+
+
 def _family_mismatches(max_rank):
     """The (kind, n) through max_rank at which `iter_special_distinguished`
     is not, as a list, the special data `is_distinguished_marked` keeps."""
@@ -128,11 +141,22 @@ def test_distinguished_family_is_the_filtered_special_family():
     assert _family_mismatches(12) == []
 
 
+def test_distinguished_candidates_are_the_filtered_typed_partitions():
+    # the filter the generator replaces: no part of the eps parity and no
+    # part three or more times
+    for kind in "BCD":
+        eps = EPSILON[kind]
+        for n in range(31):
+            assert list(verify._distinguished_candidates(kind, n)) == [
+                lam for lam in enumerate_type(kind, n)
+                if all(v % 2 != eps for v in lam) and all(map(ne, lam, lam[2:]))], (kind, n)
+
+
 def test_family_cross_check_rejects_a_prefilter_dropping_doubled_marks(monkeypatch):
     # a doubled part of the mark parity is distinguished once one row is marked
-    real = verify._may_be_distinguished
-    monkeypatch.setattr(verify, "_may_be_distinguished",
-                        lambda kind, lam: real(kind, lam) and len(set(lam)) == len(lam))
+    real = verify._distinguished_candidates
+    monkeypatch.setattr(verify, "_distinguished_candidates", lambda kind, n: [
+        lam for lam in real(kind, n) if len(set(lam)) == len(lam)])
     assert _family_mismatches(3) == [("B", 5), ("B", 7), ("C", 4)]
 
 
@@ -197,10 +221,21 @@ def test_collapse_maxima_match_brute_force():
     # every (p, kind) of the acceptance range, size <= 14
     for kind, n in [(k, n) for n in range(15) for k in "BCD" if (n % 2 == 1) == (k == "B")]:
         maxima, failures = verify.collapse_maxima(n, kind)
-        typed = list(enumerate_type(kind, n))
+        typed = {q: tuple(accumulate(q)) for q in enumerate_type(kind, n)}
         assert not failures and list(maxima) == sorted(enumerate_partitions(n))
         for p, top in maxima.items():
             assert top == verify.brute_force_maximum(p, typed), (kind, p)
+
+
+def test_kernel_rejects_a_strict_prefix_comparison(monkeypatch):
+    # `>` for `>=`: no partition dominates itself, so none of those p
+    # dominates is the largest and the brute force finds no maximum; the
+    # walk over lower covers goes through `dominates` and stays right
+    monkeypatch.setattr(verify, "prefix_dominates", lambda s, t: all(map(gt, s, t)))
+    report = verify.verify_kernel(max_size=6, max_rank=1)
+    assert {"check": "collapse by brute force", "datum": "[2,1]",
+            "detail": {"kind": "B"}} in report["failures"]
+    assert {f["check"] for f in report["failures"]} == {"collapse by brute force"}
 
 
 def _swapped_duals(kind, n):
