@@ -127,7 +127,7 @@ def phi_data(lam, kind, m):
     vals0 = set(distinct_eps_values(lam0, kind))
     for v, img in mapping.items():
         if img and not img <= vals0:
-            raise AssertionError("phi image %s not a generator of %s" % (set(img), lam0))
+            raise ValueError("phi image %s not a generator of %s" % (set(img), lam0))
     return mapping
 
 
@@ -157,7 +157,7 @@ def _induce_dual(a, dual, m):
     # height of each mark by 0 or 2, so m is reduced as well
     dual = _sommers_dual(m, "general")
     if induced.orbit.parts != dual.parts:
-        raise AssertionError("induction/duality mismatch at gl(%d)" % a)
+        raise ValueError("induction/duality mismatch at gl(%d) onto %s" % (a, m))
     return induced, dual
 
 

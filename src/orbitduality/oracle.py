@@ -94,13 +94,11 @@ def _lift_sides(m, orbits):
         lift = (nu, size(nu), eta, size(eta))
         lifts.append(lift)
         by_size.setdefault(lift[1], []).append(lift)
-    interned = {}   # many sides share one orbit: one copy of its parts per call
 
     def orbit(memo, k, side):
         parts = memo.get(side)
         if parts is None:
-            parts = richardson_zero(k, side).parts
-            parts = memo[side] = interned.setdefault(parts, parts)
+            parts = memo[side] = richardson_zero(k, side).parts
         return parts
 
     def accepting(side1):

@@ -132,7 +132,8 @@ def _failure(check, datum, **detail):
     """A failure record: the check that failed, the datum in CLI text and
     what the check saw.  A marked partition replays with `orbitduality
     gamma`, an orbit with `orbitduality bvls-dual`; an exceptional datum is
-    the `dual` label of a row of `orbitduality table <group>`."""
+    the `dual` label of a row of `orbitduality table <group>`, or the group
+    itself when one of its table checks counted nothing."""
     return {"check": check, "datum": str(datum), "detail": detail}
 
 
@@ -476,7 +477,9 @@ SUBSYSTEM_GROUPS = ("G2", "F4")
 def verify_point_values():
     """Source point values: the non-special witness weight and cover degree,
     the exceptional tables, and the subsystem classifications and
-    lattice-shell minimality of the SUBSYSTEM_GROUPS table weights."""
+    lattice-shell minimality of the SUBSYSTEM_GROUPS table weights.  Each
+    group's call of each of the three checks must count at least one check,
+    or the group fails that check with `checked` 0."""
     failures = []
     checked = 2  # the witness weight and cover
     weight = str(gamma_la(WITNESS))
@@ -488,13 +491,18 @@ def verify_point_values():
                                  base=str(cover.base)))
     for group in exceptional.GROUPS:
         rep = exceptional.verify_tables(group)
-        checked += sum(rep["checked"].values())
+        count = sum(rep["checked"].values())
+        if not count:
+            failures.append(_failure("tables %s" % group, group, checked=0))
+        checked += count
         failures.extend(_failure("tables %s %s" % (group, f[0]), f[1], values=list(f[2:]))
                         for f in rep["failures"])
     for group in SUBSYSTEM_GROUPS:
         for check, run in (("classification", exceptional.verify_classification),
                            ("shell", exceptional.verify_shell_minimality)):
             rep = run(group)
+            if not rep["checked"]:
+                failures.append(_failure("%s %s" % (check, group), group, checked=0))
             checked += rep["checked"]
             failures.extend(_failure("%s %s" % (check, group), f[0], entry=f[1], found=f[2])
                             for f in rep["failures"])

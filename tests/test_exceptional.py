@@ -220,6 +220,29 @@ def test_e8_classification_finds_one_mismatch():
     assert report["failures"] == [("D7(a2)", "E7+A1", "A3+D5")]
 
 
+def test_e8_shell_finds_one_shorter_point():
+    """`verify_shell_minimality("E8")` fails once, at row E8(b6)'s entry
+    E6+A2, (1,1,1,0,1,1,1,3)/3 of norm 160/3: the dominant point
+    (1,1,1,1,0,1,1,1)/3 of the same lattice (1/3)P has norm 140/3 and the
+    same integral and singular root systems, which is all the shell compares.
+    The row's gamma has norm 44, below both, so its gamma_min check holds.
+    The shell itself takes 20 s on E8 and is not run here."""
+    row = [r for r in ex.load_table("E8")["rows"] if r["dual"] == "E8(b6)"][0]
+    assert ["E6+A2", "(1,1,1,0,1,1,1,3)/3"] in row["entries"]
+    roots = ex.positive_roots("E8")
+    norms = []
+    for text in ("(1,1,1,0,1,1,1,3)/3", "(1,1,1,1,0,1,1,1)/3"):
+        coords = ex.parse_gamma(text)
+        k, kcoords = ex._scaled(coords)
+        assert k == 3 and min(kcoords) >= 0
+        # the positive roots of E6 and of A2, and the one singular root
+        assert tuple(map(len, ex._subsystems(roots, kcoords, k))) == (36 + 3, 1)
+        assert ex.subsystem_classify("E8", coords) == ("A2+E6", "A1")
+        norms.append(ex.gamma_norm_sq("E8", coords))
+    assert norms == [Fraction(160, 3), Fraction(140, 3)]
+    assert ex.gamma_norm_sq("E8", ex.parse_gamma(row["gamma"])) == 44
+
+
 def test_shell_minimality_g2():
     report = ex.verify_shell_minimality("G2")
     assert report["passed"], report["failures"]
@@ -330,6 +353,18 @@ def test_factor_and_orbit_counts_must_match(tmp_path, monkeypatch, capsys, r_orb
                                    "A2 has 1 factors but %d orbits" % len(r_orbits))]
     assert main(["verify", "tables"]) == 1
     assert "tables G2 abar_parse G2(a1)" in capsys.readouterr().out
+
+
+def test_a_group_with_empty_tables_fails_the_tables_suite(tmp_path, monkeypatch, capsys):
+    """G2 with no rows in either table: each of its three checks counts
+    nothing and is a failure, though the other groups' 234 checks pass."""
+    _use_tables(tmp_path, monkeypatch, "g2.json", {"rows": []})
+    (tmp_path / "gamma_g2.json").write_text(json.dumps({"rows": []}))
+    assert main(["--json", "verify", "tables"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 234
+    assert report["failures"] == [{"check": check + " G2", "datum": "G2", "detail": {"checked": 0}}
+                                  for check in ("tables", "classification", "shell")]
 
 
 @pytest.mark.parametrize("field, value", [("gamma_group", "Z3"), ("ranks", "Z3,1,1")])

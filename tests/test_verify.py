@@ -348,11 +348,50 @@ def test_chain_cross_check_runs_through_its_rank(monkeypatch):
     assert {(f["check"], f["datum"]) for f in report["failures"]} == {("chain", str(target))}
 
 
+def _spy(monkeypatch, name, measure):
+    """Wrap the verify module's `name` so that each call records
+    measure(*args); returns the list of what it recorded."""
+    real, seen = getattr(verify, name), []
+
+    def spy(*args):
+        seen.append(measure(*args))
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, spy)
+    return seen
+
+
+def test_shell_cross_check_runs_through_its_rank(monkeypatch):
+    ranks = _spy(monkeypatch, "verify_min", lambda m, orbits: sum(m.lam) // 2)
+    report = verify.verify_minimality(max_rank=verify.SHELL_CROSS_CHECK_RANK + 1)
+    assert report["passed"] and max(ranks) == verify.SHELL_CROSS_CHECK_RANK
+
+
+def test_duality_order_by_pairs_runs_through_its_size(monkeypatch):
+    # rank 6 holds B of size 13, one past the reference's last size
+    sizes = _spy(monkeypatch, "_order_by_pairs", lambda duals: next(iter(duals)).ambient)
+    report = verify.verify_duality(max_rank=6)
+    assert report["passed"] and max(sizes) == verify.COLLAPSE_CROSS_CHECK_SIZE
+
+
+def test_kernel_brute_force_runs_through_its_size(monkeypatch):
+    sizes = _spy(monkeypatch, "brute_force_maximum", lambda p, typed: sum(p))
+    report = verify.verify_kernel(max_size=verify.COLLAPSE_CROSS_CHECK_SIZE + 1, max_rank=1)
+    assert report["passed"] and max(sizes) == verify.COLLAPSE_CROSS_CHECK_SIZE
+
+
 def test_chain_table_rejects_a_dual_taken_without_induction(monkeypatch):
     # the predecessor's dual, unchanged, in place of the one induced from it
     monkeypatch.setattr(covers, "induce", lambda gl_orbits, core: InducedOrbit(core, True))
-    with pytest.raises(AssertionError, match=r"induction/duality mismatch at gl\(1\)"):
+    with pytest.raises(ValueError, match=r"induction/duality mismatch at gl\(1\) onto "):
         verify.verify_gamma_group(max_rank=2)
+
+
+def test_an_induction_mismatch_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(covers, "induce", lambda gl_orbits, core: InducedOrbit(core, True))
+    assert main(["verify", "gamma-group", "--max-rank", "2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: induction/duality mismatch")
 
 
 def test_chain_table_rejects_a_predecessor_without_the_largest_pair(monkeypatch):
@@ -428,6 +467,9 @@ GATES = {
     "order by pairs": ("duality", [(verify, "enumerate_orbits", _increasing_orbits),
                                    (verify, "bvls_dual", _swapped_duals("C", 4)[2])],
                        ("C:[4]", {"below": "C:[2,2]"})),
+    "tables G2": ("tables", [(exceptional, "load_table", lambda group: {"rows": []}),
+                             (exceptional, "load_gamma_table", lambda group: {"rows": []})],
+                  ("G2", {"checked": 0})),
     # the exceptional records: every value a table failure holds past its
     # row's dual, and a classification or shell failure's three fields
     "tables G2 abar_recomputed": ("tables", [(exceptional, "_classical_abar_rank",

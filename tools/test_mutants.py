@@ -20,13 +20,24 @@ def _step_flags_sites():
             if fn.lineno <= s.line <= fn.end_lineno]
 
 
-def test_a_mutant_changes_one_token():
+def test_a_mutant_is_the_tree_with_one_node_changed():
+    # the mutated node shows the site's new token, and undoing it gives back
+    # the original tree
     source = COVERS.read_bytes()
-    for site in _step_flags_sites():
-        new = site.new.encode()
-        assert source[site.start:site.end] == site.old.encode()
-        assert mutants.mutate(source, site) == source[:site.start] + new + source[site.end:]
-    assert len(_step_flags_sites()) == 14
+    original = ast.dump(ast.parse(source))
+    flags = _step_flags_sites()
+    assert len(flags) == 14
+    for site in flags:
+        tree = ast.parse(mutants.mutate(source, site))
+        node = mutants._nodes(tree)[site.node]
+        if site.op < 0:
+            assert str(node.value) == site.new
+            node.value -= 1
+        else:
+            token, swap = mutants.SWAPS[type(node.ops[site.op])]
+            assert token == site.new
+            node.ops[site.op] = swap()
+        assert ast.dump(tree) == original
 
 
 def test_a_killed_site_and_a_proved_equivalent_height_site():
