@@ -7,6 +7,7 @@ Levi subalgebras, the induced-orbit birationality test, and the duality map
 exchanging the B and C families (fixing D).
 """
 
+import functools
 from collections import namedtuple
 
 from .partitions import (
@@ -40,28 +41,81 @@ class Checked:
         return cls(*fields)
 
 
+# The table of the suite call that is running, or None outside every suite:
+# see `checks_each_orbit_once`.
+_suite_orbits = None
+
+
+def checks_each_orbit_once(suite):
+    """Decorate a suite so that each call of it checks each distinct `Orbit`
+    once: the call opens a table of the orbits it has built, and drops it
+    when the call returns or raises.  Nothing outlives the call, and a call
+    inside another keeps its own table until it ends."""
+    @functools.wraps(suite)
+    def run(*args, **kwargs):
+        global _suite_orbits
+        outer, _suite_orbits = _suite_orbits, {}
+        try:
+            return suite(*args, **kwargs)
+        finally:
+            _suite_orbits = outer
+    return run
+
+
 class Orbit(Checked, namedtuple("Orbit", "kind ambient parts decoration")):
+    """A nilpotent orbit: kind B, C or D, the size of the ambient algebra,
+    the partition, and I or II on a very even type-D partition.
+
+    Every construction checks its fields (`_checked_parts`), except that
+    while a suite decorated with `checks_each_orbit_once` runs, a record
+    built from a tuple of parts is looked up in that call's table first, by
+    all its fields and the type of its ambient.  A hit returns the record
+    that the constructor builds from the same fields, so no route's value
+    can reach the other side of a comparison: the table holds values, not
+    the routes that made them.  A failed check raises and stores nothing.
+    """
     __slots__ = ()
 
     def __new__(cls, kind, ambient, parts, decoration=None):
-        if kind not in ("B", "C", "D"):
-            raise ValueError("unknown kind %r" % (kind,))
-        parts = as_partition(parts)
-        n = sum(parts)
-        if n != ambient:
-            raise ValueError("partition size %d does not match ambient %d"
-                             % (n, ambient))
-        if not is_type(parts, kind):
-            raise ValueError("%s is not a type-%s partition"
-                             % (format_partition(parts), kind))
-        if decoration is not None:
-            problem = decoration_problem(kind, parts, decoration)
-            if problem:
-                raise ValueError(problem)
-        return tuple.__new__(cls, (kind, ambient, parts, decoration))
+        table = _suite_orbits
+        if table is not None and type(parts) is tuple:
+            key = (kind, type(ambient), ambient, parts, decoration)
+            try:
+                orbit = table.get(key)
+            except TypeError:  # an unhashable field is checked, and fails, below
+                table = None
+            else:
+                if orbit is not None:
+                    return orbit
+        orbit = tuple.__new__(cls, (kind, ambient,
+                                    _checked_parts(kind, ambient, parts, decoration),
+                                    decoration))
+        if table is not None:
+            table[key] = orbit
+        return orbit
 
     def __str__(self):
         return format_orbit(self)
+
+
+def _checked_parts(kind, ambient, parts, decoration):
+    """The parts of an orbit with these fields as a partition tuple, or a
+    ValueError naming the first field that is wrong."""
+    if kind not in ("B", "C", "D"):
+        raise ValueError("unknown kind %r" % (kind,))
+    parts = as_partition(parts)
+    n = sum(parts)
+    if n != ambient:
+        raise ValueError("partition size %d does not match ambient %d"
+                         % (n, ambient))
+    if not is_type(parts, kind):
+        raise ValueError("%s is not a type-%s partition"
+                         % (format_partition(parts), kind))
+    if decoration is not None:
+        problem = decoration_problem(kind, parts, decoration)
+        if problem:
+            raise ValueError(problem)
+    return parts
 
 
 def decoration_problem(kind, parts, decoration):

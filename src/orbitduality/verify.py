@@ -6,6 +6,11 @@ counts and any failures.  Every suite takes its range as an argument;
 `SUITES` at n = 5 gives the ranges of the headline claims: groups up to
 so(11) / sp(10) / so(10) for the weight theorems and up to so(13) / sp(12)
 / so(12) for the duality identities.
+
+Each suite call checks each distinct orbit once: every suite is decorated
+with `orbits.checks_each_orbit_once`, so an `Orbit` built again from the
+same fields within the call is the record checked the first time, and the
+table goes with the call.
 """
 
 import itertools
@@ -25,7 +30,7 @@ from .partitions import (
     size,
     uparrow2,
 )
-from .orbits import Orbit, bvls_dual, enumerate_orbits
+from .orbits import Orbit, bvls_dual, checks_each_orbit_once, enumerate_orbits
 from .compgroups import (
     MarkedPartition,
     _is_special,
@@ -180,6 +185,7 @@ def _certify(m, orbits):
                      shell_norm=_norm_text(shell[0])) for c in checks]
 
 
+@checks_each_orbit_once
 def verify_minimality(max_rank, jobs=1):
     """The candidate weight of every special distinguished marked datum is
     the unique minimal member of its admissible set: certified by the
@@ -195,6 +201,7 @@ def verify_minimality(max_rank, jobs=1):
     return _report("minimality", len(data), [f for m in data for f in _certify(m, orbits)])
 
 
+@checks_each_orbit_once
 def verify_gamma(max_rank):
     """The datum weight equals the cover weight of its dual orbit, for every
     special distinguished datum.  Both come out of `rho_plus`, decreasing
@@ -299,6 +306,7 @@ def _order_by_pairs(duals):
     return failures
 
 
+@checks_each_orbit_once
 def verify_duality(max_rank):
     """Duality identities: the orbit duality cubes to itself and reverses the
     dominance order; the unmarked dual agrees with it; the three routes of
@@ -366,6 +374,7 @@ def verify_duality(max_rank):
     return _report("duality identities", checked, failures)
 
 
+@checks_each_orbit_once
 def verify_rigidity(max_rank):
     """The quotient cover of the dual of every special distinguished datum is
     birationally rigid."""
@@ -401,6 +410,7 @@ def _chain_differences(m, table, last, splits):
     return [field for field in walked if walked[field] != tabled[field]]
 
 
+@checks_each_orbit_once
 def verify_gamma_group(max_rank):
     """On special data the two Galois-group computations agree rank for rank,
     the per-step criteria are equivalent and agree with the birationality of
@@ -442,6 +452,7 @@ def verify_gamma_group(max_rank):
     return _report("galois group ranks", len(data), failures)
 
 
+@checks_each_orbit_once
 def verify_richardson(max_rank):
     """The orbit pair from the weight coordinates equals the saturation-route
     pair for every special datum, and fails on the non-special witness in the
@@ -474,6 +485,7 @@ def verify_richardson(max_rank):
 SUBSYSTEM_GROUPS = ("G2", "F4")
 
 
+@checks_each_orbit_once
 def verify_point_values():
     """Source point values: the non-special witness weight and cover degree,
     the exceptional tables, and the subsystem classifications and
@@ -513,6 +525,7 @@ def verify_point_values():
 TWO_ROW_NORM_TOP = 12
 
 
+@checks_each_orbit_once
 def verify_kernel(max_size, max_rank):
     """Combinatorial kernel: the greedy collapse equals the dominance maximum
     of the typed partitions below, found by induction over lower covers and,

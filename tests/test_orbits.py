@@ -157,3 +157,67 @@ def test_only_orbits_spells_out_the_decorations_and_the_dual_kinds():
              for path in glob.glob(os.path.join(package, "*.py"))}
     assert {name: rules for name, rules in found.items() if rules} == {
         "orbits.py": {"II", "dual kinds"}}
+
+
+def _in_one_suite_call(build):
+    """What build() returns when it runs as a suite call: with one table of
+    checked orbits open."""
+    return orbits.checks_each_orbit_once(build)()
+
+
+def test_a_suite_call_returns_the_record_it_built_for_the_same_fields():
+    first, again = _in_one_suite_call(lambda: (Orbit("B", 3, (3,)), Orbit("B", 3, (3,))))
+    assert again is first
+
+
+def test_an_ambient_of_another_type_is_another_record():
+    # 3 == 3.0 and both hash alike, but the constructor keeps the ambient given
+    exact, real = _in_one_suite_call(lambda: (Orbit("B", 3, (3,)), Orbit("B", 3.0, (3,))))
+    assert type(exact.ambient) is int and type(real.ambient) is float
+    assert real == Orbit("B", 3.0, (3,))
+
+
+def test_the_decorations_of_a_very_even_partition_stay_apart():
+    built = _in_one_suite_call(lambda: [parse_orbit(t) for t in ("D:[4,4]I", "D:[4,4]II")])
+    assert [format_orbit(o) for o in built] == ["D:[4,4]I", "D:[4,4]II"]
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("B", 4, (4,)), "[4] is not a type-B partition"),
+    (("A", 3, (3,)), "unknown kind 'A'"),
+    (("D", 4, (2, 2), ["I"]), "decoration must be I or II"),  # unhashable: never looked up
+], ids=["type", "kind", "unhashable decoration"])
+def test_an_invalid_orbit_raises_the_same_error_every_time(fields, message):
+    def build_twice():
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as error:
+                Orbit(*fields)
+            errors.append(str(error.value))
+        return errors, dict(orbits._suite_orbits)
+
+    errors, table = _in_one_suite_call(build_twice)
+    assert errors == [message, message] and table == {}
+
+
+def test_no_table_is_open_after_a_suite_call_returns_or_raises():
+    assert _in_one_suite_call(lambda: orbits._suite_orbits) == {}
+    assert orbits._suite_orbits is None
+
+    def fails():
+        Orbit("B", 3, (3,))
+        raise ArithmeticError("stop")
+
+    with pytest.raises(ArithmeticError):
+        _in_one_suite_call(fails)
+    assert orbits._suite_orbits is None
+
+
+def test_a_nested_suite_call_keeps_its_own_table():
+    def outer():
+        mine = orbits._suite_orbits
+        inner = _in_one_suite_call(lambda: orbits._suite_orbits)
+        return mine, inner, orbits._suite_orbits
+
+    mine, inner, after = _in_one_suite_call(outer)
+    assert mine is after and inner is not mine

@@ -4,7 +4,7 @@ from operator import gt, ne
 
 import pytest
 
-from orbitduality import covers, exceptional, sommers, verify
+from orbitduality import covers, exceptional, orbits, sommers, verify
 from orbitduality.cli import main
 from orbitduality.compgroups import (
     MarkedPartition, is_distinguished_marked, is_special_marked, parse_marked,
@@ -380,6 +380,13 @@ def test_kernel_brute_force_runs_through_its_size(monkeypatch):
     assert report["passed"] and max(sizes) == verify.COLLAPSE_CROSS_CHECK_SIZE
 
 
+def test_chain_cross_check_stops_at_its_rank(monkeypatch):
+    ranks = _spy(monkeypatch, "_chain_differences",
+                 lambda m, table, last, splits: sum(m.lam) // 2)
+    report = verify.verify_gamma_group(max_rank=verify.CHAIN_CROSS_CHECK_RANK + 1)
+    assert report["passed"] and max(ranks) == verify.CHAIN_CROSS_CHECK_RANK
+
+
 def test_chain_table_rejects_a_dual_taken_without_induction(monkeypatch):
     # the predecessor's dual, unchanged, in place of the one induced from it
     monkeypatch.setattr(covers, "induce", lambda gl_orbits, core: InducedOrbit(core, True))
@@ -458,6 +465,9 @@ GATES = {
                     ("C:<[2]>[4,2]", {"same_dual_as": "C:<[]>[4,2]"})),
     "step": ("gamma-group", [(verify, "_step_flags", _equal_step_flags)],
              ("B:<[]>[1,1,1]", {"a": 1, "step_datum": "B:<[]>[1]"})),
+    # a datum of degree 2, so the record's `2 **` is read
+    "galois degree": ("gamma-group", [(verify, "abar_rank", lambda lam, kind: -1)],
+                      ("B:<[]>[3,1,1]", {"degree": 2})),
     "witness cover": ("tables", [(verify, "d_map", lambda m: CoverSpec(covers.d_map(m).base, 1))],
                       (str(verify.WITNESS), {"base": "C:[4,4,4,2,2]", "degree": 1})),
     "collapse by brute force": ("kernel", [(verify, "brute_force_maximum", lambda p, typed: None)],
@@ -492,3 +502,30 @@ def test_every_gate_can_fail(monkeypatch, capsys, check):
     assert main(["--json", "verify", suite, "--max-rank", "2"]) == 1
     [report] = json.loads(capsys.readouterr().out)
     assert {"check": check, "datum": datum, "detail": detail} in report["failures"]
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_every_suite_call_checks_its_orbits_in_a_table_of_its_own(monkeypatch, suite):
+    real, open_tables = orbits._checked_parts, []
+
+    def spy(*fields):
+        open_tables.append(orbits._suite_orbits)
+        return real(*fields)
+
+    monkeypatch.setattr(orbits, "_checked_parts", spy)
+    fn, params = verify.SUITES[suite]
+    assert fn(**params(1))["passed"]
+    assert open_tables and None not in open_tables
+    assert orbits._suite_orbits is None
+
+
+def test_duality_checks_each_distinct_orbit_once(monkeypatch):
+    real, checked = orbits._checked_parts, []
+
+    def spy(kind, ambient, parts, decoration):
+        checked.append((kind, type(ambient), ambient, parts, decoration))
+        return real(kind, ambient, parts, decoration)
+
+    monkeypatch.setattr(orbits, "_checked_parts", spy)
+    assert verify.verify_duality(max_rank=4)["passed"]
+    assert checked and len(set(checked)) == len(checked)
