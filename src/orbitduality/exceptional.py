@@ -4,17 +4,24 @@ checks.
 The per-group tables list the special distinguished marked data with their
 minimal weights, and the Galois-group tables list the remaining special data
 with the pseudo-Levi pair and component-group columns.  Weights are given in
-fundamental-weight coordinates; norms are computed exactly through the Gram
-matrices.  One root system per group, generated from its Cartan matrix by
-root strings, supports an independent classification of the integral and
+fundamental-weight coordinates; norms are computed exactly in integers,
+through each group's Gram matrix scaled to integers once, and each norm is
+one Fraction.  One root system per group, generated from its Cartan matrix
+by root strings, supports an independent classification of the integral and
 singular subsystems of each tabulated weight, plus a lattice-shell
 minimality check.  That check enumerates the dominant chamber only, which
 suffices because the norm and both subsystem types are Weyl-invariant and
 the lattice is Weyl-stable, and prunes by exact integer partial norms.
+Every coroot has nonnegative simple-coroot coordinates, so a dominant point
+c >= 0 pairs to 0 with a coroot exactly when the coroot's support lies
+inside the zero set of c: the singular count of a dominant point is read
+off its zero set, and a point whose count differs from the entry's is
+dropped before its subsystems are computed.
 """
 
 import collections
 import functools
+import itertools
 import json
 import math
 import operator
@@ -119,8 +126,31 @@ def _form(g, c):
     return sum(g[i][j] * c[i] * c[j] for i in range(len(c)) for j in range(len(c)))
 
 
+@functools.lru_cache(maxsize=None)
+def _integer_gram(group):
+    """(scale, rows): the Gram matrix times the least common denominator
+    `scale` of its entries, as integer row tuples, once per group."""
+    g = gram_matrix(group)
+    scale = math.lcm(*(x.denominator for row in g for x in row))
+    return scale, tuple(tuple(int(x * scale) for x in row) for row in g)
+
+
+def _of_rank(group, coords):
+    """The coordinates, if there is one per simple root of the group; any
+    other number of them is a ValueError."""
+    if len(coords) != len(_CARTAN[group]):
+        raise ValueError("a weight of %s needs %d coordinates, not %d"
+                         % (group, len(_CARTAN[group]), len(coords)))
+    return coords
+
+
 def gamma_norm_sq(group, coords):
-    return _form(gram_matrix(group), coords)
+    """Squared norm of a weight in fundamental coordinates, exactly: with
+    k * coords = kcoords in integers and the integer Gram matrix h = scale * G,
+    the norm is kcoords.h.kcoords / (scale * k * k)."""
+    scale, h = _integer_gram(group)
+    k, kcoords = _scaled(_of_rank(group, coords))
+    return Fraction(_form(h, kcoords), scale * k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +361,7 @@ def subsystem_classify(group, coords):
     labeled on the coroot side, e.g. ("A1+~A1", "") for the half-sum weight
     (1,1)/2 in G2."""
     roots = positive_roots(group)
-    k, kcoords = _scaled(coords)
+    k, kcoords = _scaled(_of_rank(group, coords))
     return tuple(_label_set(group, roots, s) for s in _subsystems(roots, kcoords, k))
 
 
@@ -416,11 +446,11 @@ def verify_tables(group):
         checked["gamma_equal"] += 1
         if g_la != g_d:
             failures.append(("gamma_equal", row["dual"], row["gamma"], row["gamma_d"]))
-        norms = [gamma_norm_sq(group, parse_gamma(e[1])) for e in row["entries"]]
+        weights = [parse_gamma(e[1]) for e in row["entries"]]
         checked["gamma_min"] += 1
-        if gamma_norm_sq(group, g_la) != min(norms):
+        if gamma_norm_sq(group, g_la) != min(gamma_norm_sq(group, w) for w in weights):
             failures.append(("gamma_min", row["dual"], row["gamma"]))
-        if g_la not in [parse_gamma(e[1]) for e in row["entries"]]:
+        if g_la not in weights:
             failures.append(("gamma_member", row["dual"]))
     for row in load_gamma_table(group)["rows"]:
         abar_label = row["ranks"].split(",")[0].strip()
@@ -460,13 +490,6 @@ def verify_classification(group):
             "passed": not failures}
 
 
-def _integer_gram(group):
-    """The Gram matrix times the least common denominator of its entries."""
-    g = gram_matrix(group)
-    scale = math.lcm(*(x.denominator for row in g for x in row))
-    return [[int(x * scale) for x in row] for row in g]
-
-
 def _dominant_points_within(h, budget):
     """Integer vectors c >= 0 with c.h.c <= budget, each with its form value.
 
@@ -497,6 +520,21 @@ def _dominant_points_within(h, budget):
     return out
 
 
+def _singular_counts(group):
+    """{zero set: singular count} for the dominant points of a group, the
+    zero set of c as the tuple of the truth values c_i == 0 and the count
+    that of the positive roots whose coroots pair with c to 0.
+
+    Every coroot has simple-coroot coordinates m >= 0, so for c >= 0 the
+    pairing sum c_i m_i is 0 exactly when the support of m, where m_i > 0,
+    lies inside the zero set of c.  So the count of a dominant point is read
+    off its zero set alone, and the table has one entry per subset of the
+    simple roots."""
+    supports = [[i for i, m in enumerate(root.coroot) if m] for root in positive_roots(group)]
+    return {zero: sum(all(zero[i] for i in support) for support in supports)
+            for zero in itertools.product((False, True), repeat=len(_CARTAN[group]))}
+
+
 def verify_shell_minimality(group):
     """Each tabulated entry weight is norm-minimal among the lattice points
     (in its own denominator refinement) sharing both its integral and
@@ -509,10 +547,15 @@ def verify_shell_minimality(group):
     type-equal point exists exactly when one exists in the dominant chamber.
     Only dominant points are enumerated, pruned by exact integer partial
     norms, and a failure names the dominant representative of the offending
-    Weyl orbit.
+    Weyl orbit.  On c >= 0 a coroot pairs to 0 exactly when its support lies
+    inside the zero set of c (`_singular_counts`), so a point whose zero set
+    gives another singular count than the entry's is dropped before its
+    subsystems are computed; every other point is compared in full, by both
+    counts and both labels.
     """
     roots = positive_roots(group)
-    h = _integer_gram(group)
+    _, h = _integer_gram(group)
+    singular_counts = _singular_counts(group)
     failures = []
     checked = 0
     for row in load_table(group)["rows"]:
@@ -525,7 +568,7 @@ def verify_shell_minimality(group):
             budget = _form(h, kcoords)
             checked += 1
             for point, q in _dominant_points_within(h, budget):
-                if q >= budget:
+                if q >= budget or singular_counts[tuple(map(operator.not_, point))] != counts[1]:
                     continue
                 subsystems = _subsystems(roots, point, k)
                 if (tuple(map(len, subsystems)) == counts and

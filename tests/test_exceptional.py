@@ -166,6 +166,12 @@ def test_highest_root(group, highest):
     roots = ex.positive_roots(group)
     assert roots[-1].simple == highest
     assert max(sum(r.simple) for r in roots[:-1]) == sum(highest) - 1
+    # the highest root is long; its fundamental coordinates are its pairings
+    # with the simple coroots, and its squared length is 6 in G2 (short
+    # roots 2) and 2 elsewhere
+    cartan = ex._CARTAN[group]
+    weight = tuple(sum(n * row[j] for n, row in zip(highest, cartan)) for j in range(len(cartan)))
+    assert roots[-1].long and ex.gamma_norm_sq(group, weight) == {"G2": 6}.get(group, 2)
 
 
 @pytest.mark.parametrize("group, text, types", [
@@ -208,6 +214,12 @@ def test_shell_minimality_e6():
     assert report["passed"], report["failures"]
 
 
+def test_shell_minimality_e7():
+    report = ex.verify_shell_minimality("E7")
+    assert report["checked"] == 10
+    assert report["passed"], report["failures"]
+
+
 def test_e8_classification_finds_one_mismatch():
     """The D7(a2) entry tabulates E7+A1 at rho/4.  The pairing of rho/4 with
     a coroot is its height over 4, so the integral roots are the 26 of
@@ -225,8 +237,7 @@ def test_e8_shell_finds_one_shorter_point():
     E6+A2, (1,1,1,0,1,1,1,3)/3 of norm 160/3: the dominant point
     (1,1,1,1,0,1,1,1)/3 of the same lattice (1/3)P has norm 140/3 and the
     same integral and singular root systems, which is all the shell compares.
-    The row's gamma has norm 44, below both, so its gamma_min check holds.
-    The shell itself takes 20 s on E8 and is not run here."""
+    The row's gamma has norm 44, below both, so its gamma_min check holds."""
     row = [r for r in ex.load_table("E8")["rows"] if r["dual"] == "E8(b6)"][0]
     assert ["E6+A2", "(1,1,1,0,1,1,1,3)/3"] in row["entries"]
     roots = ex.positive_roots("E8")
@@ -241,6 +252,10 @@ def test_e8_shell_finds_one_shorter_point():
         norms.append(ex.gamma_norm_sq("E8", coords))
     assert norms == [Fraction(160, 3), Fraction(140, 3)]
     assert ex.gamma_norm_sq("E8", ex.parse_gamma(row["gamma"])) == 44
+    report = ex.verify_shell_minimality("E8")
+    assert report["checked"] == 28
+    assert report["failures"] == [
+        ("E8(b6)", "E6+A2", ["1/3", "1/3", "1/3", "1/3", "0", "1/3", "1/3", "1/3"])]
 
 
 def test_shell_minimality_g2():
@@ -291,7 +306,7 @@ def test_dominant_shell_matches_box_shell(group, text):
     assert text in [e[1] for r in ex.load_table(group)["rows"] for e in r["entries"]]
     coords = ex.parse_gamma(text)
     k = math.lcm(*(c.denominator for c in coords))
-    h = ex._integer_gram(group)
+    _, h = ex._integer_gram(group)
     budget = ex._form(h, [int(c * k) for c in coords])
     union = {}
     for point, q in ex._dominant_points_within(h, budget):
@@ -316,6 +331,109 @@ def test_shell_minimality_rejects_a_longer_weight(tmp_path, monkeypatch):
     report = ex.verify_shell_minimality("G2")
     assert not report["passed"]
     assert report["failures"] == [("G2", "G2", ["1", "1"])]
+    assert report == _unfiltered_shell_minimality("G2")
+
+
+def _tabulated_weights():
+    """(group, coordinates) of every weight the five main tables hold: each
+    row's gamma and gamma_d and each entry weight."""
+    return [(group, ex.parse_gamma(text)) for group in ex.GROUPS
+            for row in ex.load_table(group)["rows"]
+            for text in [row["gamma"], row["gamma_d"]] + [e[1] for e in row["entries"]]]
+
+
+def _norm_mismatches(norm):
+    """The tabulated weights where `norm` differs from the Fraction form over
+    the Gram matrix, the reference for the integer route."""
+    return [(group, coords) for group, coords in _tabulated_weights()
+            if norm(group, coords) != ex._form(ex.gram_matrix(group), coords)]
+
+
+def test_integer_norm_is_the_fraction_form():
+    assert len(_tabulated_weights()) == 163
+    assert _norm_mismatches(ex.gamma_norm_sq) == []
+
+
+def test_norm_cross_check_catches_one_factor_of_k_missing():
+    def short_norm(group, coords):
+        scale, h = ex._integer_gram(group)
+        k, kcoords = ex._scaled(coords)
+        return Fraction(ex._form(h, kcoords), scale * k)
+
+    assert len(_norm_mismatches(short_norm)) > 0
+
+
+def _zero_set_mismatches(group):
+    """The dominant points, over the shells of every tabulated entry of the
+    group, whose count in `_singular_counts` is not the number of coroots
+    that pair with them to 0."""
+    roots = ex.positive_roots(group)
+    _, h = ex._integer_gram(group)
+    counts = ex._singular_counts(group)
+    mismatches = []
+    for row in ex.load_table(group)["rows"]:
+        for _, text in row["entries"]:
+            k, kcoords = ex._scaled(ex.parse_gamma(text))
+            for point, _ in ex._dominant_points_within(h, ex._form(h, kcoords)):
+                if counts[tuple(x == 0 for x in point)] != len(ex._subsystems(roots, point, k)[1]):
+                    mismatches.append(point)
+    return mismatches
+
+
+@pytest.mark.parametrize("group", ["G2", "F4", "E6", "E7"])
+def test_zero_set_count_is_the_singular_count(group):
+    assert _zero_set_mismatches(group) == []
+
+
+def test_zero_set_cross_check_catches_a_support_that_meets_the_zero_set(monkeypatch):
+    def meets(group):
+        supports = [[i for i, m in enumerate(r.coroot) if m] for r in ex.positive_roots(group)]
+        return {zero: sum(any(zero[i] for i in support) for support in supports)
+                for zero in product((False, True), repeat=len(ex._CARTAN[group]))}
+
+    monkeypatch.setattr(ex, "_singular_counts", meets)
+    assert len(_zero_set_mismatches("G2")) > 0
+
+
+def _unfiltered_shell_minimality(group):
+    """`verify_shell_minimality` without the zero-set prefilter: every point
+    inside the budget has its subsystems computed and compared."""
+    roots = ex.positive_roots(group)
+    _, h = ex._integer_gram(group)
+    failures = []
+    checked = 0
+    for row in ex.load_table(group)["rows"]:
+        for label, gamma_text in row["entries"]:
+            k, kcoords = ex._scaled(ex.parse_gamma(gamma_text))
+            entry = ex._subsystems(roots, kcoords, k)
+            key = tuple(ex._label_set(group, roots, s) for s in entry)
+            budget = ex._form(h, kcoords)
+            checked += 1
+            for point, q in ex._dominant_points_within(h, budget):
+                if q >= budget:
+                    continue
+                subsystems = ex._subsystems(roots, point, k)
+                if (tuple(map(len, subsystems)) == tuple(map(len, entry)) and
+                        tuple(ex._label_set(group, roots, s) for s in subsystems) == key):
+                    failures.append((row["dual"], label, [str(Fraction(x, k)) for x in point]))
+                    break
+    return {"group": group, "checked": checked, "failures": failures,
+            "passed": not failures}
+
+
+@pytest.mark.parametrize("group", ["G2", "F4", "E6", "E7"])
+def test_prefiltered_shell_gives_the_unfiltered_report(group):
+    assert ex.verify_shell_minimality(group) == _unfiltered_shell_minimality(group)
+
+
+@pytest.mark.parametrize("group, coords", [
+    ("E8", (1,)), ("G2", (1,)), ("G2", (1, 1, 1)), ("F4", ()), ("E6", (0,) * 7)])
+def test_a_weight_of_the_wrong_length_is_a_value_error(group, coords):
+    coords = tuple(map(Fraction, coords))
+    with pytest.raises(ValueError, match="coordinates, not"):
+        ex.gamma_norm_sq(group, coords)
+    with pytest.raises(ValueError, match="coordinates, not"):
+        ex.subsystem_classify(group, coords)
 
 
 def test_tables_dir_override(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import json
 from itertools import accumulate
 from operator import gt, ne
@@ -488,8 +489,11 @@ GATES = {
     "classification G2": ("tables", [(exceptional, "subsystem_classify",
                                       lambda group, coords: ("A1", ""))],
                           ("G2(a1)", {"entry": "A1+~A1", "found": "A1"})),
-    # every point of the shell has the types of the entry
-    "shell G2": ("tables", [(exceptional, "_subsystems", lambda roots, kcoords, k: ((), ()))],
+    # every point of the shell has the types of the entry, and every zero
+    # set the entry's singular count
+    "shell G2": ("tables", [(exceptional, "_subsystems", lambda roots, kcoords, k: ((), ())),
+                            (exceptional, "_singular_counts",
+                             lambda group: collections.defaultdict(int))],
                  ("G2(a1)", {"entry": "A1+~A1", "found": ["0", "0"]})),
 }
 
