@@ -4,19 +4,22 @@ checks.
 The per-group tables list the special distinguished marked data with their
 minimal weights, and the Galois-group tables list the remaining special data
 with the pseudo-Levi pair and component-group columns.  Weights are given in
-fundamental-weight coordinates; norms are computed exactly in integers,
-through each group's Gram matrix scaled to integers once, and each norm is
-one Fraction.  One root system per group, generated from its Cartan matrix
-by root strings, supports an independent classification of the integral and
-singular subsystems of each tabulated weight, plus a lattice-shell
-minimality check.  That check enumerates the dominant chamber only, which
-suffices because the norm and both subsystem types are Weyl-invariant and
-the lattice is Weyl-stable, and prunes by exact integer partial norms.
-Every coroot has nonnegative simple-coroot coordinates, so a dominant point
-c >= 0 pairs to 0 with a coroot exactly when the coroot's support lies
-inside the zero set of c: the singular count of a dominant point is read
-off its zero set, and a point whose count differs from the entry's is
-dropped before its subsystems are computed.
+fundamental-weight coordinates and parsed once each, in integers, to their
+least common denominator k and k times their coordinates.  Everything a
+group needs is built in integers as well: the Gram matrix of the
+fundamental weights, scaled to integers once per group by fraction-free
+elimination of its Cartan matrix, and the squared lengths of the roots.
+Each norm is then one Fraction.  One root system per group, generated from
+its Cartan matrix by root strings, supports an independent classification
+of the integral and singular subsystems of each tabulated weight, plus a
+lattice-shell minimality check.  That check enumerates the dominant chamber
+only, which suffices because the norm and both subsystem types are
+Weyl-invariant and the lattice is Weyl-stable, and prunes by exact integer
+partial norms.  Every coroot has nonnegative simple-coroot coordinates, so
+a dominant point c >= 0 pairs to 0 with a coroot exactly when the coroot's
+support lies inside the zero set of c: the singular count of a dominant
+point is read off its zero set, and a point whose count differs from the
+entry's is dropped before its subsystems are computed.
 """
 
 import collections
@@ -47,61 +50,79 @@ for _name, _rank in (("E6", 6), ("E7", 7), ("E8", 8)):
         _a[i - 1][j - 1] = _a[j - 1][i - 1] = -1
     _CARTAN[_name] = _a
 
-# halved squared lengths of the simple roots, in the order of the Cartan rows
-_HALF_LENGTHS = {
-    "G2": [Fraction(1), Fraction(3)],
-    "F4": [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)],
-    "E6": [Fraction(1)] * 6,
-    "E7": [Fraction(1)] * 7,
-    "E8": [Fraction(1)] * 8,
+# squared lengths of the simple roots, in the order of the Cartan rows
+_LENGTHS = {
+    "G2": (2, 6),
+    "F4": (2, 2, 1, 1),
+    "E6": (2,) * 6,
+    "E7": (2,) * 7,
+    "E8": (2,) * 8,
 }
 
 
 def _eliminate(rows):
-    """Exact Gauss-Jordan elimination over the rationals, the one row
+    """Fraction-free Gauss-Jordan elimination over the integers, the one row
     reduction of this module.
 
     Each step takes the first row at or below the current one with a nonzero
-    entry in the next column, swaps it up, scales it to a leading 1 and clears
-    that column in every other row.  Returns the reduced rows.
+    entry p in the next column and swaps it up; every other row with an
+    entry f in that column becomes p * row - f * (pivot row), divided by the
+    gcd of its entries (a zero row stays zero).  Returns the reduced rows:
+    the pivot rows first, each the only row nonzero in its pivot column, then
+    a zero row for each row the rank falls short of.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     r = 0
     for col in range(len(a[0]) if a else 0):
         piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        entry = a[r][col]
-        a[r] = [x / entry for x in a[r]]
+        p = a[r][col]
         for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], a[r])]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g else row
         r += 1
     return a
 
 
+def _lowest_terms(scale, rows):
+    """(scale, rows) divided by the gcd of scale and every entry, the rows as
+    tuples."""
+    g = math.gcd(scale, *(x for row in rows for x in row))
+    return scale // g, tuple(tuple(x // g for x in row) for row in rows)
+
+
 def _invert(matrix):
+    """(scale, rows): the inverse of a nonsingular integer matrix as integer
+    rows over one positive scale, in lowest terms."""
     n = len(matrix)
     reduced = _eliminate([list(row) + [int(i == j) for j in range(n)]
                           for i, row in enumerate(matrix)])
-    return [row[n:] for row in reduced]
-
-
-def gram_matrix(group):
-    """Pairwise products of the fundamental weights: inverse Cartan times the
-    halved simple-root lengths, as a tuple of row tuples.  Computed once per
-    group; the cache sits behind this plain function so that profilers see
-    an ordinary function here."""
-    return _gram_matrix(group)
+    # row i is now p e_i | p times row i of the inverse, p its pivot
+    scale = math.lcm(*(row[i] for i, row in enumerate(reduced)))
+    return _lowest_terms(scale, [[x * scale // row[i] for x in row[n:]]
+                                 for i, row in enumerate(reduced)])
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_matrix(group):
-    inv = _invert(_CARTAN[group])
-    d = _HALF_LENGTHS[group]
-    return tuple(tuple(inv[i][j] * d[j] for j in range(len(d))) for i in range(len(d)))
+def _integer_gram(group):
+    """(scale, rows): the Gram matrix G of the fundamental weights, the
+    inverse Cartan matrix times the halved squared lengths of the simple
+    roots, as integer rows h = scale * G in lowest terms, once per group."""
+    scale, inv = _invert(_CARTAN[group])
+    lengths = _LENGTHS[group]
+    return _lowest_terms(2 * scale, [[x * l for x, l in zip(row, lengths)] for row in inv])
+
+
+def gram_matrix(group):
+    """Pairwise products of the fundamental weights as a tuple of row tuples
+    of Fractions, read off `_integer_gram`."""
+    scale, h = _integer_gram(group)
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in h)
 
 
 def _split_weight(text):
@@ -113,43 +134,40 @@ def _split_weight(text):
     return s[1:-1].split(","), d
 
 
-def parse_gamma(text):
-    """Parse "(1,1,2,2)/4" into a tuple of Fractions."""
+def parse_weight(text):
+    """(k, kcoords) of a weight "(2,2,4,4)/4": its least common denominator
+    k and the integers k * coordinates, here (2, (1, 1, 2, 2)).  With d the
+    written denominator, k = d / gcd(d, fields)."""
     fields, d = _split_weight(text)
     den = int(d)
     if den < 1:
         raise ValueError("weight denominator must be at least 1: %r" % text)
-    return tuple(Fraction(int(x), den) for x in fields)
+    nums = [int(x) for x in fields]
+    g = math.gcd(den, *nums)
+    return den // g, tuple(x // g for x in nums)
 
 
 def _form(g, c):
-    return sum(g[i][j] * c[i] * c[j] for i in range(len(c)) for j in range(len(c)))
+    """c.g.c, the quadratic form of the matrix g at the vector c."""
+    return sum(x * sum(map(operator.mul, row, c)) for x, row in zip(c, g))
 
 
-@functools.lru_cache(maxsize=None)
-def _integer_gram(group):
-    """(scale, rows): the Gram matrix times the least common denominator
-    `scale` of its entries, as integer row tuples, once per group."""
-    g = gram_matrix(group)
-    scale = math.lcm(*(x.denominator for row in g for x in row))
-    return scale, tuple(tuple(int(x * scale) for x in row) for row in g)
-
-
-def _of_rank(group, coords):
-    """The coordinates, if there is one per simple root of the group; any
-    other number of them is a ValueError."""
-    if len(coords) != len(_CARTAN[group]):
+def _of_rank(group, weight):
+    """(k, kcoords) of a weight, if there is one coordinate per simple root
+    of the group; any other number of them is a ValueError."""
+    k, kcoords = weight
+    if len(kcoords) != len(_CARTAN[group]):
         raise ValueError("a weight of %s needs %d coordinates, not %d"
-                         % (group, len(_CARTAN[group]), len(coords)))
-    return coords
+                         % (group, len(_CARTAN[group]), len(kcoords)))
+    return k, kcoords
 
 
-def gamma_norm_sq(group, coords):
-    """Squared norm of a weight in fundamental coordinates, exactly: with
-    k * coords = kcoords in integers and the integer Gram matrix h = scale * G,
-    the norm is kcoords.h.kcoords / (scale * k * k)."""
+def gamma_norm_sq(group, weight):
+    """Squared norm of a weight (k, kcoords), kcoords / k in fundamental
+    coordinates, exactly: with the integer Gram matrix h = scale * G the
+    norm is kcoords.h.kcoords / (scale * k * k)."""
     scale, h = _integer_gram(group)
-    k, kcoords = _scaled(_of_rank(group, coords))
+    k, kcoords = _of_rank(group, weight)
     return Fraction(_form(h, kcoords), scale * k * k)
 
 
@@ -236,11 +254,18 @@ def _root_strings(cartan):
     8.4 and 10.2).  So each height grows from the one below: r is read off
     the roots already found, and beta + alpha_i is a root exactly when
     q = r - <beta, alpha_i^vee> is positive.
+
+    No finite root system of rank at most 8 has a root above height 29, the
+    height of E8's highest root, so a matrix of no finite type is a
+    ValueError once its strings pass that height.
     """
     n = len(cartan)
     layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     roots, found = list(layer), set(layer)
+    height = 1
     while layer:
+        if height > 29:
+            raise ValueError("roots above height 29: the Cartan matrix is of no finite type")
         above = []
         for beta in layer:
             for i in range(n):
@@ -253,6 +278,7 @@ def _root_strings(cartan):
                     above.append(up)
         roots.extend(above)
         layer = above
+        height += 1
     return roots
 
 
@@ -261,27 +287,24 @@ def positive_roots(group):
     """The positive roots of one group in order of height, the highest last,
     generated from its Cartan matrix once per group.  Each Root holds the
     root's simple-root coordinates n, its coroot's simple-coroot coordinates
-    m_j = n_j d_j / d (d_j and d the halved squared lengths of alpha_j and
-    the root), whether it is long, and the indices of the roots it is not
+    m_j = n_j L_j / L (L_j and L the squared lengths of alpha_j and the
+    root), whether it is long, and the indices of the roots it is not
     orthogonal to.  A weight sum c_i omega_i pairs with the coroot to
     sum c_i m_i."""
-    cartan, halves = _CARTAN[group], _HALF_LENGTHS[group]
+    cartan, lengths = _CARTAN[group], _LENGTHS[group]
     n = len(cartan)
     simple = _root_strings(cartan)
     # each root in fundamental-weight coordinates, its simple-coroot pairings
     weights = [[sum(b[a] * cartan[a][j] for a in range(n)) for j in range(n)] for b in simple]
-    half = [sum(w[j] * b[j] * halves[j] for j in range(n)) / 2 for b, w in zip(simple, weights)]
-    coroots = [tuple(int(b[j] * halves[j] / d) for j in range(n)) for b, d in zip(simple, half)]
+    # (beta, beta) = sum_j n_j (beta, alpha_j) and (beta, alpha_j) = w_j L_j / 2
+    length = [sum(w[j] * b[j] * lengths[j] for j in range(n)) // 2
+              for b, w in zip(simple, weights)]
+    coroots = [tuple(b[j] * lengths[j] // d for j in range(n)) for b, d in zip(simple, length)]
+    longest = max(length)
     return tuple(
-        Root(b, m, d == max(half),
+        Root(b, m, d == longest,
              frozenset(t for t, m2 in enumerate(coroots) if sum(map(operator.mul, w, m2))))
-        for b, w, d, m in zip(simple, weights, half, coroots))
-
-
-def _scaled(coords):
-    """(k, k * coords as integers) for the least common denominator k."""
-    k = math.lcm(*(c.denominator for c in coords))
-    return k, [int(c * k) for c in coords]
+        for b, w, d, m in zip(simple, weights, length, coroots))
 
 
 def _subsystems(roots, kcoords, k):
@@ -327,7 +350,7 @@ def _component_label(group, component):
         if (rank, count) in ((2, 6), (4, 24)):
             return {2: "G2", 4: "F4"}[rank]
     else:
-        tilde = "~" if nlong and len(set(_HALF_LENGTHS[group])) > 1 else ""
+        tilde = "~" if nlong and len(set(_LENGTHS[group])) > 1 else ""
         if count == rank * (rank + 1) // 2:
             return tilde + "A" + str(rank)
         if rank >= 4 and count == rank * (rank - 1):
@@ -356,12 +379,12 @@ def _label_set(group, roots, members):
     return "+".join(sorted(_component_label(group, c) for c in _components(roots, members)))
 
 
-def subsystem_classify(group, coords):
-    """(integral type, singular type) of a weight in fundamental coordinates,
-    labeled on the coroot side, e.g. ("A1+~A1", "") for the half-sum weight
-    (1,1)/2 in G2."""
+def subsystem_classify(group, weight):
+    """(integral type, singular type) of a weight (k, kcoords), kcoords / k
+    in fundamental coordinates, labeled on the coroot side, e.g.
+    ("A1+~A1", "") for the half-sum weight (1,1)/2 in G2."""
     roots = positive_roots(group)
-    k, kcoords = _scaled(_of_rank(group, coords))
+    k, kcoords = _of_rank(group, weight)
     return tuple(_label_set(group, roots, s) for s in _subsystems(roots, kcoords, k))
 
 
@@ -441,12 +464,12 @@ def verify_tables(group):
     failures = []
     checked = {"gamma_equal": 0, "gamma_min": 0, "gamma_rank": 0, "abar_recomputed": 0}
     for row in load_table(group)["rows"]:
-        g_la = parse_gamma(row["gamma"])
-        g_d = parse_gamma(row["gamma_d"])
+        g_la = parse_weight(row["gamma"])
+        g_d = parse_weight(row["gamma_d"])
         checked["gamma_equal"] += 1
         if g_la != g_d:
             failures.append(("gamma_equal", row["dual"], row["gamma"], row["gamma_d"]))
-        weights = [parse_gamma(e[1]) for e in row["entries"]]
+        weights = [parse_weight(e[1]) for e in row["entries"]]
         checked["gamma_min"] += 1
         if gamma_norm_sq(group, g_la) != min(gamma_norm_sq(group, w) for w in weights):
             failures.append(("gamma_min", row["dual"], row["gamma"]))
@@ -482,7 +505,7 @@ def verify_classification(group):
     checked = 0
     for row in load_table(group)["rows"]:
         for label, gamma_text in row["entries"]:
-            integral, _ = subsystem_classify(group, parse_gamma(gamma_text))
+            integral, _ = subsystem_classify(group, parse_weight(gamma_text))
             checked += 1
             if sorted(_factor_types(integral)) != sorted(_factor_types(label)):
                 failures.append((row["dual"], label, integral))
@@ -491,33 +514,45 @@ def verify_classification(group):
 
 
 def _dominant_points_within(h, budget):
-    """Integer vectors c >= 0 with c.h.c <= budget, each with its form value.
+    """Integer vectors c >= 0 with c.h.c <= budget, each with its form
+    value, generated in lexicographic order.
 
     Every entry of h must be positive.  Then on c >= 0 the form restricted to
     the coordinates chosen so far is an exact lower bound on the whole form,
     so each coordinate is raised from 0 and stops at the first value that
-    takes that partial form over the budget.
+    takes that partial form over the budget.  The walk keeps, for each
+    coordinate, the form on the coordinates before it and its cross term
+    with them, and runs the last coordinate in a loop of its own; a consumer
+    that stops early stops the enumeration.
     """
     if any(x <= 0 for row in h for x in row):
         raise ValueError("dominant enumeration needs a form with positive entries")
     n = len(h)
-    out = []
+    last = n - 1
     c = [0] * n
-
-    def rec(idx, partial):
-        if idx == n:
-            out.append((tuple(c), partial))
-            return
-        cross = sum((h[idx][j] + h[j][idx]) * c[j] for j in range(idx))
-        v, q = 0, partial
-        while q <= budget:
-            c[idx] = v
-            rec(idx + 1, q)
-            v += 1
-            q = partial + v * (cross + h[idx][idx] * v)
-
-    rec(0, 0)
-    return out
+    partial = [0] * n   # the form on c[:i]
+    cross = [0] * n     # sum over j < i of (h[i][j] + h[j][i]) * c[j]
+    i = 0
+    while i >= 0:
+        v = c[i]
+        q = partial[i] + v * (cross[i] + h[i][i] * v)
+        if q > budget:
+            c[i] = 0
+            i -= 1
+            c[i] += 1
+        elif i < last:
+            i += 1
+            partial[i] = q
+            cross[i] = sum((h[i][j] + h[j][i]) * c[j] for j in range(i))
+        else:
+            # c[last] stays 0: its values go straight into the points
+            head, base, linear, square = tuple(c[:last]), partial[i], cross[i], h[i][i]
+            while q <= budget:
+                yield head + (v,), q
+                v += 1
+                q = base + v * (linear + square * v)
+            i -= 1
+            c[i] += 1
 
 
 def _singular_counts(group):
@@ -560,8 +595,7 @@ def verify_shell_minimality(group):
     checked = 0
     for row in load_table(group)["rows"]:
         for label, gamma_text in row["entries"]:
-            coords = parse_gamma(gamma_text)
-            k, kcoords = _scaled(coords)
+            k, kcoords = parse_weight(gamma_text)
             entry = _subsystems(roots, kcoords, k)
             key = tuple(_label_set(group, roots, s) for s in entry)
             counts = tuple(map(len, entry))

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,20 @@ import pytest
 from orbitduality import exceptional as ex
 from orbitduality import verify
 from orbitduality.cli import main
+
+
+def parse_gamma(text):
+    """The Fraction reference parse of a weight "(1,1,2,2)/4", a tuple of
+    Fractions; the package parses weights to integers (`parse_weight`)."""
+    fields, d = ex._split_weight(text)
+    return tuple(Fraction(int(x), int(d)) for x in fields)
+
+
+def _scaled(coords):
+    """(k, k * coords as integers) for the least common denominator k: the
+    Fraction route to a weight's (k, kcoords)."""
+    k = math.lcm(*(c.denominator for c in coords))
+    return k, tuple(int(c * k) for c in coords)
 
 
 def _determinant(matrix):
@@ -66,6 +81,111 @@ def test_positive_definiteness_needs_every_leading_minor():
     assert not _is_positive_definite([[1, 1], [1, 1]])
 
 
+# halved squared lengths of the simple roots, in the order of the Cartan
+# rows: the reference the integer Gram matrix is certified against
+HALF_LENGTHS = {
+    "G2": (1, 3),
+    "F4": (1, 1, Fraction(1, 2), Fraction(1, 2)),
+    "E6": (1,) * 6,
+    "E7": (1,) * 7,
+    "E8": (1,) * 8,
+}
+
+
+def _gram_certificate_mismatches(group, scale, h):
+    """The entries (i, j) where C (h / scale) differs from the diagonal
+    matrix of the halved squared lengths, in Fractions: none exactly when
+    h / scale is the inverse Cartan matrix times those lengths."""
+    cartan = ex._CARTAN[group]
+    n = len(cartan)
+    return [(i, j) for i in range(n) for j in range(n)
+            if sum(Fraction(cartan[i][t] * h[t][j], scale) for t in range(n))
+            != (HALF_LENGTHS[group][j] if i == j else 0)]
+
+
+@pytest.mark.parametrize("group", ex.GROUPS)
+def test_integer_gram_is_certified(group):
+    assert ex._LENGTHS[group] == tuple(2 * d for d in HALF_LENGTHS[group])
+    scale, h = ex._integer_gram(group)
+    assert _gram_certificate_mismatches(group, scale, h) == []
+    assert scale > 0 and math.gcd(scale, *(x for row in h for x in row)) == 1
+
+
+def test_gram_certificate_catches_a_wrong_scale():
+    # the norms of one group all scale alike, so the suite's comparisons
+    # cannot see this; the certificate and `test_highest_root` do
+    scale, h = ex._integer_gram("F4")
+    assert _gram_certificate_mismatches("F4", 2 * scale, h) != []
+
+
+def test_eliminate_gives_dependent_rows_as_zero_rows():
+    # the second row is twice the first, and the third row's update takes on
+    # a factor 2 that its gcd removes
+    reduced = ex._eliminate([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert reduced == [[-1, 0, -1], [0, -1, -1], [0, 0, 0]]
+    assert sum(map(any, reduced)) == 2
+    assert ex._eliminate([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    assert ex._eliminate([]) == []
+    assert [sum(map(any, ex._eliminate(ex._CARTAN[group]))) for group in ex.GROUPS] == \
+        [2, 4, 6, 7, 8]
+
+
+def _wrong_length(monkeypatch):
+    # F4's Gram matrix with the last simple root as long as the first
+    with monkeypatch.context() as patched:
+        patched.setitem(ex._LENGTHS, "F4", (2, 2, 1, 2))
+        return ex._integer_gram.__wrapped__("F4")
+
+
+def _one_row_on_another_scale(monkeypatch):
+    scale, h = ex._integer_gram("F4")
+    return scale, (tuple(2 * x for x in h[0]),) + h[1:]
+
+
+# a corruption of F4's integer Gram matrix -> one failure record of the
+# tables suite it must give
+GRAM_BREAKS = {
+    "wrong length": (_wrong_length, ("shell F4", "F4(a3)",
+                                     {"entry": "B4", "found": ["1/2", "0", "1", "0"]})),
+    "wrong scale": (_one_row_on_another_scale, ("tables F4 gamma_min", "F4(a2)",
+                                                {"values": ["(1,0,1,0)"]})),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAM_BREAKS))
+def test_a_wrong_gram_matrix_fails_the_tables_suite(monkeypatch, capsys, case):
+    corrupt, (check, datum, detail) = GRAM_BREAKS[case]
+    wrong = corrupt(monkeypatch)
+    assert _gram_certificate_mismatches("F4", *wrong) != []
+    real = ex._integer_gram
+    monkeypatch.setattr(ex, "_integer_gram", lambda group: wrong if group == "F4" else real(group))
+    assert main(["--json", "verify", "tables"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert {"check": check, "datum": datum, "detail": detail} in report["failures"]
+    # the datum names the row, which `orbitduality table f4` prints
+    assert datum in [row["dual"] for row in ex.load_table("F4")["rows"]]
+
+
+def test_the_cold_path_builds_no_fraction(monkeypatch):
+    """The integer Gram matrix, the root system and the parse of every
+    tabulated weight, built afresh with `Fraction` unavailable, are the
+    cached ones."""
+    built = {group: (ex._integer_gram(group), ex.positive_roots(group)) for group in ex.GROUPS}
+    texts = [text for _, text in _tabulated_weights()]
+    parsed = [ex.parse_weight(text) for text in texts]
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(ex, "Fraction", no_fraction)
+    with pytest.raises(AssertionError, match="a Fraction"):
+        ex.gram_matrix("G2")
+    for group in ex.GROUPS:
+        assert (ex._integer_gram.__wrapped__(group), ex.positive_roots.__wrapped__(group)) == \
+            built[group]
+    assert [ex.parse_weight(text) for text in texts] == parsed
+
+
 def test_lookup_rows():
     def lookup(group, dual, m_orbit):
         return [row for row in ex.load_table(group)["rows"] if row["dual"] == dual
@@ -98,16 +218,16 @@ def test_verify_tables_all_groups():
 
 def test_f4a2_minimum_is_computed():
     row = [r for r in ex.load_table("F4")["rows"] if r["dual"] == "F4(a2)"][0]
-    norms = [ex.gamma_norm_sq("F4", ex.parse_gamma(e[1])) for e in row["entries"]]
+    norms = [ex.gamma_norm_sq("F4", ex.parse_weight(e[1])) for e in row["entries"]]
     assert norms[0] < norms[1]
-    assert ex.parse_gamma(row["gamma"]) == ex.parse_gamma(row["entries"][0][1])
+    assert ex.parse_weight(row["gamma"]) == ex.parse_weight(row["entries"][0][1])
 
 
 def test_subsystem_classification():
-    assert ex.subsystem_classify("G2", ex.parse_gamma("(1,1)"))[0] == "G2"
-    assert ex.subsystem_classify("G2", ex.parse_gamma("(1,1)/2"))[0] == "A1+~A1"
-    assert ex.subsystem_classify("G2", ex.parse_gamma("(3,1)/3"))[0] == "A2"
-    assert ex.subsystem_classify("G2", ex.parse_gamma("(1,1)"))[1] == ""
+    assert ex.subsystem_classify("G2", ex.parse_weight("(1,1)"))[0] == "G2"
+    assert ex.subsystem_classify("G2", ex.parse_weight("(1,1)/2"))[0] == "A1+~A1"
+    assert ex.subsystem_classify("G2", ex.parse_weight("(3,1)/3"))[0] == "A2"
+    assert ex.subsystem_classify("G2", ex.parse_weight("(1,1)"))[1] == ""
 
 
 def test_component_rank_matches_elimination():
@@ -118,7 +238,7 @@ def test_component_rank_matches_elimination():
         roots = ex.positive_roots(group)
         for row in ex.load_table(group)["rows"]:
             for _, text in row["entries"]:
-                k, kcoords = ex._scaled(ex.parse_gamma(text))
+                k, kcoords = ex.parse_weight(text)
                 for members in ex._subsystems(roots, kcoords, k):
                     for component in ex._components(roots, members):
                         rank = sum(map(any, ex._eliminate([r.simple for r in component])))
@@ -154,7 +274,7 @@ def test_classification_matches_tables():
 ])
 def test_subsystem_labels_of_table_entries(group, text, types):
     assert text in [e[1] for r in ex.load_table(group)["rows"] for e in r["entries"]]
-    assert ex.subsystem_classify(group, ex.parse_gamma(text)) == types
+    assert ex.subsystem_classify(group, ex.parse_weight(text)) == types
 
 
 @pytest.mark.parametrize("group, highest", [
@@ -171,7 +291,20 @@ def test_highest_root(group, highest):
     # roots 2) and 2 elsewhere
     cartan = ex._CARTAN[group]
     weight = tuple(sum(n * row[j] for n, row in zip(highest, cartan)) for j in range(len(cartan)))
-    assert roots[-1].long and ex.gamma_norm_sq(group, weight) == {"G2": 6}.get(group, 2)
+    assert roots[-1].long and ex.gamma_norm_sq(group, (1, weight)) == {"G2": 6}.get(group, 2)
+
+
+def test_a_cartan_matrix_of_no_finite_type_is_a_value_error():
+    """E6's diagram with the edge 1-3 moved to 1-4: node 4 then has four
+    neighbours, which no finite Dynkin diagram has, and its root strings
+    pass height 29 at once."""
+    cartan = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+    for i, j in [(1, 4), (3, 4), (4, 5), (5, 6), (2, 4)]:
+        cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="roots above height 29"):
+        ex._root_strings(cartan)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("group, text, types", [
@@ -185,7 +318,7 @@ def test_e_type_subsystem_labels(group, text, types):
     # even: the extended diagram minus node i where the highest coroot has
     # coefficient 2 there, the diagram minus node i where it has 1.  A
     # dominant weight is singular on the diagram of the nodes where it is 0.
-    assert ex.subsystem_classify(group, ex.parse_gamma(text)) == types
+    assert ex.subsystem_classify(group, ex.parse_weight(text)) == types
 
 
 def test_self_check_rejects_a_truncated_root_system(monkeypatch):
@@ -243,15 +376,14 @@ def test_e8_shell_finds_one_shorter_point():
     roots = ex.positive_roots("E8")
     norms = []
     for text in ("(1,1,1,0,1,1,1,3)/3", "(1,1,1,1,0,1,1,1)/3"):
-        coords = ex.parse_gamma(text)
-        k, kcoords = ex._scaled(coords)
+        k, kcoords = weight = ex.parse_weight(text)
         assert k == 3 and min(kcoords) >= 0
         # the positive roots of E6 and of A2, and the one singular root
         assert tuple(map(len, ex._subsystems(roots, kcoords, k))) == (36 + 3, 1)
-        assert ex.subsystem_classify("E8", coords) == ("A2+E6", "A1")
-        norms.append(ex.gamma_norm_sq("E8", coords))
+        assert ex.subsystem_classify("E8", weight) == ("A2+E6", "A1")
+        norms.append(ex.gamma_norm_sq("E8", weight))
     assert norms == [Fraction(160, 3), Fraction(140, 3)]
-    assert ex.gamma_norm_sq("E8", ex.parse_gamma(row["gamma"])) == 44
+    assert ex.gamma_norm_sq("E8", ex.parse_weight(row["gamma"])) == 44
     report = ex.verify_shell_minimality("E8")
     assert report["checked"] == 28
     assert report["failures"] == [
@@ -285,11 +417,11 @@ def _weyl_orbit(group, point):
 def _box_shell(h, budget):
     """{c: c.h.c} over all integer c with c.h.c <= budget, from the box
     |c_i| <= sqrt(budget * (h^-1)_ii) that holds the whole ellipsoid."""
-    inv = ex._invert(h)
+    scale, inv = ex._invert(h)
     n = len(h)
-    assert all(sum(h[i][t] * inv[t][j] for t in range(n)) == int(i == j)
+    assert all(sum(h[i][t] * inv[t][j] for t in range(n)) == scale * (i == j)
                for i in range(n) for j in range(n))
-    radii = [math.isqrt(math.floor(budget * inv[i][i])) for i in range(n)]
+    radii = [math.isqrt(budget * inv[i][i] // scale) for i in range(n)]
     shell = {}
     for c in product(*(range(-r, r + 1) for r in radii)):
         q = ex._form(h, c)
@@ -304,10 +436,9 @@ def _box_shell(h, budget):
 ])
 def test_dominant_shell_matches_box_shell(group, text):
     assert text in [e[1] for r in ex.load_table(group)["rows"] for e in r["entries"]]
-    coords = ex.parse_gamma(text)
-    k = math.lcm(*(c.denominator for c in coords))
+    _, kcoords = ex.parse_weight(text)
     _, h = ex._integer_gram(group)
-    budget = ex._form(h, [int(c * k) for c in coords])
+    budget = ex._form(h, kcoords)
     union = {}
     for point, q in ex._dominant_points_within(h, budget):
         assert min(point) >= 0 and q == ex._form(h, point)
@@ -315,6 +446,13 @@ def test_dominant_shell_matches_box_shell(group, text):
             assert ex._form(h, image) == q
             union[image] = q
     assert union == _box_shell(h, budget)
+
+
+def test_dominant_points_of_one_and_two_coordinates():
+    assert list(ex._dominant_points_within(((2,),), 8)) == [((0,), 0), ((1,), 2), ((2,), 8)]
+    assert list(ex._dominant_points_within(((2,),), -1)) == []
+    assert list(ex._dominant_points_within(((2, 1), (1, 2)), 6)) == [
+        ((0, 0), 0), ((0, 1), 2), ((1, 0), 2), ((1, 1), 6)]
 
 
 def test_shell_minimality_rejects_a_longer_weight(tmp_path, monkeypatch):
@@ -326,27 +464,42 @@ def test_shell_minimality_rejects_a_longer_weight(tmp_path, monkeypatch):
     row["entries"] = [["G2", "(2,2)"]]
     (tmp_path / "g2.json").write_text(json.dumps(table))
     monkeypatch.setenv("ORBITDUALITY_TABLES", str(tmp_path))
-    assert ex.subsystem_classify("G2", ex.parse_gamma("(2,2)")) == \
-        ex.subsystem_classify("G2", ex.parse_gamma("(1,1)"))
+    assert ex.subsystem_classify("G2", ex.parse_weight("(2,2)")) == \
+        ex.subsystem_classify("G2", ex.parse_weight("(1,1)"))
+    shells, real = [], ex._dominant_points_within
+
+    def spy(h, budget):
+        shells.append([])
+        for item in real(h, budget):
+            shells[-1].append(item[0])
+            yield item
+
+    monkeypatch.setattr(ex, "_dominant_points_within", spy)
     report = ex.verify_shell_minimality("G2")
     assert not report["passed"]
     assert report["failures"] == [("G2", "G2", ["1", "1"])]
+    # the entry's shell is walked up to (1,1) and no further
+    _, h = ex._integer_gram("G2")
+    assert shells[-1][-1] == (1, 1)
+    assert len(shells[-1]) < len(list(real(h, ex._form(h, (2, 2)))))
     assert report == _unfiltered_shell_minimality("G2")
 
 
 def _tabulated_weights():
-    """(group, coordinates) of every weight the five main tables hold: each
-    row's gamma and gamma_d and each entry weight."""
-    return [(group, ex.parse_gamma(text)) for group in ex.GROUPS
+    """(group, text) of every weight the five main tables hold: each row's
+    gamma and gamma_d and each entry weight."""
+    return [(group, text) for group in ex.GROUPS
             for row in ex.load_table(group)["rows"]
             for text in [row["gamma"], row["gamma_d"]] + [e[1] for e in row["entries"]]]
 
 
 def _norm_mismatches(norm):
-    """The tabulated weights where `norm` differs from the Fraction form over
-    the Gram matrix, the reference for the integer route."""
-    return [(group, coords) for group, coords in _tabulated_weights()
-            if norm(group, coords) != ex._form(ex.gram_matrix(group), coords)]
+    """The tabulated weights where `norm` of the integer parse differs from
+    the Fraction form of the Fraction parse over the Gram matrix, the
+    reference for the integer route."""
+    return [(group, text) for group, text in _tabulated_weights()
+            if norm(group, ex.parse_weight(text))
+            != ex._form(ex.gram_matrix(group), parse_gamma(text))]
 
 
 def test_integer_norm_is_the_fraction_form():
@@ -355,9 +508,9 @@ def test_integer_norm_is_the_fraction_form():
 
 
 def test_norm_cross_check_catches_one_factor_of_k_missing():
-    def short_norm(group, coords):
+    def short_norm(group, weight):
         scale, h = ex._integer_gram(group)
-        k, kcoords = ex._scaled(coords)
+        k, kcoords = weight
         return Fraction(ex._form(h, kcoords), scale * k)
 
     assert len(_norm_mismatches(short_norm)) > 0
@@ -373,7 +526,7 @@ def _zero_set_mismatches(group):
     mismatches = []
     for row in ex.load_table(group)["rows"]:
         for _, text in row["entries"]:
-            k, kcoords = ex._scaled(ex.parse_gamma(text))
+            k, kcoords = ex.parse_weight(text)
             for point, _ in ex._dominant_points_within(h, ex._form(h, kcoords)):
                 if counts[tuple(x == 0 for x in point)] != len(ex._subsystems(roots, point, k)[1]):
                     mismatches.append(point)
@@ -404,7 +557,7 @@ def _unfiltered_shell_minimality(group):
     checked = 0
     for row in ex.load_table(group)["rows"]:
         for label, gamma_text in row["entries"]:
-            k, kcoords = ex._scaled(ex.parse_gamma(gamma_text))
+            k, kcoords = ex.parse_weight(gamma_text)
             entry = ex._subsystems(roots, kcoords, k)
             key = tuple(ex._label_set(group, roots, s) for s in entry)
             budget = ex._form(h, kcoords)
@@ -429,11 +582,10 @@ def test_prefiltered_shell_gives_the_unfiltered_report(group):
 @pytest.mark.parametrize("group, coords", [
     ("E8", (1,)), ("G2", (1,)), ("G2", (1, 1, 1)), ("F4", ()), ("E6", (0,) * 7)])
 def test_a_weight_of_the_wrong_length_is_a_value_error(group, coords):
-    coords = tuple(map(Fraction, coords))
     with pytest.raises(ValueError, match="coordinates, not"):
-        ex.gamma_norm_sq(group, coords)
+        ex.gamma_norm_sq(group, (1, coords))
     with pytest.raises(ValueError, match="coordinates, not"):
-        ex.subsystem_classify(group, coords)
+        ex.subsystem_classify(group, (1, coords))
 
 
 def test_tables_dir_override(tmp_path, monkeypatch):
@@ -538,9 +690,28 @@ def test_a_value_of_the_wrong_type_is_one_error_line(tmp_path, monkeypatch, caps
                                                                     text)]
 
 
+def test_integer_parse_is_the_fraction_parse():
+    texts = [text for _, text in _tabulated_weights()]
+    texts += ["(2,4)/4", "(0,0)/3", "(-2,4)/6", "(3,6)"]
+    assert [ex.parse_weight(text) for text in texts] == [_scaled(parse_gamma(text))
+                                                          for text in texts]
+    assert ex.parse_weight("(2,4)/4") == (2, (1, 2))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1,1)/0", "weight denominator must be at least 1: '(1,1)/0'"),
+    ("1,1", "weight '1,1' is not (...) or (...)/d"),
+    ("(1,x)/2", "invalid literal for int() with base 10: 'x'"),
+])
+def test_a_malformed_weight_keeps_its_error_text(text, message):
+    with pytest.raises(ValueError) as raised:
+        ex.parse_weight(text)
+    assert str(raised.value) == message
+
+
 def test_zero_weight_denominator_is_one_error_line(tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError, match="denominator"):
-        ex.parse_gamma("(1,1)/0")
+        ex.parse_weight("(1,1)/0")
     table = ex.load_table("G2")
     table["rows"][0]["gamma"] = "(1,1)/0"
     _use_tables(tmp_path, monkeypatch, "g2.json", table)

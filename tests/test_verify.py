@@ -487,7 +487,7 @@ GATES = {
                                               lambda type_label, orbit_strings: 1)],
                                   ("G2(a1)", {"values": ["2A1", 1, "1"]})),
     "classification G2": ("tables", [(exceptional, "subsystem_classify",
-                                      lambda group, coords: ("A1", ""))],
+                                      lambda group, weight: ("A1", ""))],
                           ("G2(a1)", {"entry": "A1+~A1", "found": "A1"})),
     # every point of the shell has the types of the entry, and every zero
     # set the entry's singular count
