@@ -256,8 +256,9 @@ def _root_strings(cartan):
     q = r - <beta, alpha_i^vee> is positive.
 
     No finite root system of rank at most 8 has a root above height 29, the
-    height of E8's highest root, so a matrix of no finite type is a
-    ValueError once its strings pass that height.
+    height of E8's highest root, and no root string of a finite root system
+    is longer than 4, so r never passes 3.  A matrix of no finite type is a
+    ValueError once its strings pass either bound.
     """
     n = len(cartan)
     layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -272,6 +273,9 @@ def _root_strings(cartan):
                 r = 0
                 while beta[:i] + (beta[i] - r - 1,) + beta[i + 1:] in found:
                     r += 1
+                    if r > 3:
+                        raise ValueError("a root string longer than 4: the Cartan matrix "
+                                         "is of no finite type")
                 up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                 if r > sum(beta[j] * cartan[j][i] for j in range(n)) and up not in found:
                     found.add(up)

@@ -7,6 +7,9 @@ vector inside the candidate's norm shell and tests membership exactly.  The
 signature route computes the least norm and every minimiser without a shell:
 membership reads each congruence class only through its multiplicity
 signature, and each signature has one dominant vector of least norm.
+Before the shell computes a side vector's Richardson orbit, it reads the
+orbit's first row off the vector's column count in integers, and drops the
+vector when no lift of its size has that first row.
 """
 
 import itertools
@@ -55,6 +58,36 @@ def richardson_zero(kind, halves):
     return Orbit(kind, size(parts), collapse(parts, kind))
 
 
+def _column_count(kind, halves):
+    """The number of columns `richardson_zero` builds for a side vector: two
+    per distinct nonzero absolute value, and one residual column when the
+    factor is of type B or a zero is present."""
+    values = set(map(abs, halves))
+    zero = 0 in values
+    return 2 * (len(values) - zero) + (1 if SIZE_PARITY[kind] or zero else 0)
+
+
+def _first_rows(targets):
+    """The column counts a side vector may have when its Richardson orbit is
+    one of `targets`, partitions of one size: t[0] and t[0] + 1, with
+    t[0] = 0 for the empty partition.
+
+    The orbit of a vector with column count c has first row c or c - 1:
+    `richardson_zero` builds a pair of columns (q, q) per distinct nonzero
+    value of multiplicity q and one residual column when SIZE_PARITY[k] +
+    2 zeros > 0, so the transpose of its columns has first row c.
+    `collapse` lowers only the last row of a run of the constrained parity,
+    by one box, to a value of the free parity, and moves that box to a
+    later row, so it lowers the first row at most once, by one.  A vector
+    whose column count is not in this set has an orbit outside `targets`,
+    and is dropped without computing it."""
+    rows = set()
+    for t in targets:
+        first = t[0] if t else 0
+        rows.update((first, first + 1))
+    return rows
+
+
 def split_classes(kind, halves):
     """The doubled coordinates of the marked side and of the unmarked side,
     told apart by their congruence class."""
@@ -70,8 +103,10 @@ def _lift_sides(m, orbits):
     `lifts` lists (nu, |nu|, eta, |eta|) for every marking nu in the datum's
     class, with eta the rest of its partition.  `accepting(side1)` lists the
     lifts that a marked side (the coordinates of the mark parity) satisfies:
-    its size is |nu| and its Richardson orbit is nu.  `other_orbit(side2)`
-    is the Richardson orbit of the other side.
+    its size is |nu| and its Richardson orbit is nu.  A marked side whose
+    column count is none of `_first_rows` of the nu of its size is
+    answered without its orbit.  `other_orbit(side2)` is the Richardson
+    orbit of the other side.
 
     `orbits` memoizes the Richardson orbit of each side vector as
     {factor kind: {side vector: parts}}.  Each orbit is computed once per
@@ -94,6 +129,8 @@ def _lift_sides(m, orbits):
         lift = (nu, size(nu), eta, size(eta))
         lifts.append(lift)
         by_size.setdefault(lift[1], []).append(lift)
+    rows_by_size = {n1: _first_rows(nu for nu, _, _, _ in sized)
+                    for n1, sized in by_size.items()}
 
     def orbit(memo, k, side):
         parts = memo.get(side)
@@ -106,6 +143,8 @@ def _lift_sides(m, orbits):
         sized = by_size.get(n1, [])
         if not (sized and n1):
             return sized
+        if _column_count(k1, side1) not in rows_by_size[n1]:
+            return []
         parts = orbit(memo1, k1, side1)
         return [lift for lift in sized if lift[0] == parts]
 
@@ -205,10 +244,18 @@ def verify_min(m, orbits=None):
     before it is recorded.  Every point within the norm bound counts in
     `shell_size`, dropped or not.  `orbits` is the Richardson-orbit memo of
     `_lift_sides`: None for a fresh one, or one memo shared by the data of
-    a run."""
+    a run.
+
+    Neither side's orbit is computed when its column count rules it out
+    (`_first_rows`): `accepting` drops such a marked vector, and an other
+    vector whose column count is none of `_first_rows` of those etas is
+    dropped before `other_orbit`.  This is exact, as the orbit it skips is
+    none of the orbits the point is compared with.  The memo still holds
+    only what `richardson_zero` computed, keyed by the whole side vector."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
     parity = MARK_PARITY[m.kind]
+    k2 = PSEUDO_LEVI[m.kind][1]
     cand = gamma_la(m)
     lifts, accepting, other_orbit = _lift_sides(m, orbits)
     test = membership_tester(m, orbits)
@@ -218,6 +265,7 @@ def verify_min(m, orbits=None):
     for a, b in sorted(counts):
         others = sorted(class_shell(b, bound4, 1 - parity), key=lambda pair: pair[1])
         norms = [norm2 for _, norm2 in others]
+        columns = [_column_count(k2, other) for other, _ in others]
         for marked, norm1 in class_shell(a, bound4, parity):
             within = bisect_right(norms, bound4 - norm1)
             tested += within
@@ -227,8 +275,9 @@ def verify_min(m, orbits=None):
             if not accepted:
                 continue
             etas = {eta for _, _, eta, _ in accepted}
-            for other, norm2 in others[:within]:
-                if other_orbit(other) not in etas:
+            rows = _first_rows(etas)
+            for (other, norm2), c in zip(others[:within], columns):
+                if c not in rows or other_orbit(other) not in etas:
                     continue
                 pt = tuple(sorted(marked + other, reverse=True))
                 if not test(pt):

@@ -296,15 +296,33 @@ def test_highest_root(group, highest):
 
 def test_a_cartan_matrix_of_no_finite_type_is_a_value_error():
     """E6's diagram with the edge 1-3 moved to 1-4: node 4 then has four
-    neighbours, which no finite Dynkin diagram has, and its root strings
-    pass height 29 at once."""
+    neighbours, which no finite Dynkin diagram has, and one of its root
+    strings passes length 4 at once."""
     cartan = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
     for i, j in [(1, 4), (3, 4), (4, 5), (5, 6), (2, 4)]:
         cartan[i - 1][j - 1] = cartan[j - 1][i - 1] = -1
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="roots above height 29"):
+    with pytest.raises(ValueError, match="a root string longer than 4"):
         ex._root_strings(cartan)
     assert time.perf_counter() - start < 1
+
+
+def test_a_root_string_longer_than_4_is_a_value_error():
+    """The Cartan matrix [[2, -1], [-4, 2]] (affine, of type A_2^(2)): the
+    alpha_1-string through (4, 1), a root of height 5, reaches (0, 1), and
+    the walk stops there, not at the height bound."""
+    with pytest.raises(ValueError, match="a root string longer than 4") as err:
+        ex._root_strings([[2, -1], [-4, 2]])
+    assert err.traceback[-1].locals["height"] == 5
+
+
+def test_roots_above_height_29_are_a_value_error():
+    """The affine diagram A_2^(1), a triangle: its root strings stay within
+    length 4, and the heights grow without end."""
+    cartan = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    with pytest.raises(ValueError, match="roots above height 29") as err:
+        ex._root_strings(cartan)
+    assert err.traceback[-1].locals["height"] == 30
 
 
 @pytest.mark.parametrize("group, text, types", [

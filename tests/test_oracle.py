@@ -49,12 +49,52 @@ def reference_richardson_zero(kind, halves):
     return Orbit(kind, ambient, collapse(transpose(tuple(columns)), kind))
 
 
+def unfiltered_verify_min(m, orbits):
+    """The reference for `verify_min`: the same walk of the shell at the lift
+    class sizes, with no column-count filter.  Every marked vector within
+    the bound gets its Richardson orbit, and so does every other vector
+    within the bound beside a marked vector that some lift accepts; a point
+    is a member when one lift accepts both sides.  `orbits` is filled like
+    `_lift_sides`' memo, {factor kind: {side vector: parts}}."""
+    parity = MARK_PARITY[m.kind]
+    kinds = PSEUDO_LEVI[m.kind]
+    memos = [orbits.setdefault(k, {}) for k in kinds]
+
+    def orbit(i, side):
+        if side not in memos[i]:
+            memos[i][side] = richardson_zero(kinds[i], side).parts
+        return memos[i][side]
+
+    cand = oracle.gamma_la(m)
+    bound4 = sum(h * h for h in cand.halves)
+    lifts = [(nu, multiset_difference(m.lam, nu)) for nu in equivalent_markings(m)]
+    tested, best, found = 0, None, []
+    for a, b in sorted({(size(nu) // 2, size(eta) // 2) for nu, eta in lifts}):
+        others = sorted(class_shell(b, bound4, 1 - parity), key=lambda pair: pair[1])
+        for marked, norm1 in class_shell(a, bound4, parity):
+            within = [(other, norm2) for other, norm2 in others if norm1 + norm2 <= bound4]
+            tested += len(within)
+            if not within:
+                continue
+            etas = {eta for nu, eta in lifts if size(nu) == 2 * a
+                    and (not a or orbit(0, marked) == nu)}
+            for other, norm2 in within:
+                if not etas or orbit(1, other) not in etas:
+                    continue
+                norm4 = norm1 + norm2
+                if best is None or norm4 < best:
+                    best, found = norm4, []
+                if norm4 == best:
+                    found.append(tuple(sorted(marked + other, reverse=True)))
+    return oracle.Certificate(m, cand, tested, (best, tuple(sorted(found, reverse=True))))
+
+
 def test_richardson_zero_by_runs_is_the_definition():
-    # every side vector the shell asks about through SHELL_CROSS_CHECK_RANK,
-    # read off one run's memo {factor kind: {side vector: parts}}
+    # every side vector the unfiltered shell asks about through
+    # SHELL_CROSS_CHECK_RANK, read off one run's memo
     memo = {}
     for m in verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK):
-        verify_min(m, memo)
+        unfiltered_verify_min(m, memo)
     sides = [(k, side) for k, table in memo.items() for side in table]
     assert len(sides) == 3061
     for k, side in sides:
@@ -69,6 +109,92 @@ def test_richardson_zero_by_runs_is_the_definition():
                 route(*bad)
             messages.append(str(err.value))
         assert messages[0] == messages[1], bad
+
+
+def _lift_class_vectors(max_rank):
+    """{(factor kind, side vector): its sets of targets} over every vector
+    the unfiltered shell walks through `max_rank`, on both sides of each
+    lift class size.  A vector's targets in one datum are the nu (marked
+    side) or the eta (other side) of the datum's lifts of its size."""
+    out = {}
+    for m in verify._data(verify.iter_special_distinguished, max_rank):
+        parity = MARK_PARITY[m.kind]
+        bound4 = sum(h * h for h in oracle.gamma_la(m).halves)
+        lifts = [(nu, multiset_difference(m.lam, nu)) for nu in equivalent_markings(m)]
+        for nu, eta in lifts:
+            sides = [(nu, 0, parity), (eta, 1, 1 - parity)]
+            for target, i, p in sides:
+                targets = frozenset(lift[i] for lift in lifts if size(lift[i]) == size(target))
+                for v, _ in class_shell(size(target) // 2, bound4, p):
+                    out.setdefault((PSEUDO_LEVI[m.kind][i], v), set()).add(targets)
+    return out
+
+
+def test_the_column_count_rules_out_only_orbits_outside_the_targets():
+    # every side vector the shell walks through rank 7, on both sides: its
+    # orbit's first row is its column count or one less, so a vector the
+    # filter drops has an orbit outside the targets of its size
+    dropped = kept = 0
+    for (k, v), target_sets in _lift_class_vectors(7).items():
+        parts = richardson_zero(k, v).parts
+        c = oracle._column_count(k, v)
+        assert c - (parts[0] if parts else 0) in (0, 1), (k, v)
+        for targets in target_sets:
+            if c in oracle._first_rows(targets):
+                kept += 1
+            else:
+                dropped += 1
+                assert parts not in targets, (k, v)
+    assert (dropped, kept) == (16739, 293)
+
+
+def test_the_filtered_shell_certifies_like_the_unfiltered_walk():
+    data = verify._data(verify.iter_special_distinguished, 7)
+    assert len(data) == 88
+    memo, reference = {}, {}
+    for m in data:
+        cert, ref = verify_min(m, memo), unfiltered_verify_min(m, reference)
+        assert (cert.shell_size, cert.shell_minimum, cert.passed) == (
+            ref.shell_size, ref.shell_minimum, ref.passed), str(m)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_cross_checks_catch_a_shifted_column_count(monkeypatch, shift):
+    real = oracle._column_count
+    monkeypatch.setattr(oracle, "_column_count", lambda kind, halves: real(kind, halves) + shift)
+    rep = verify.verify_minimality(max_rank=6)
+    checks = {f["check"] for f in rep["failures"]}
+    assert not rep["passed"] and {"shell", "routes disagree"} <= checks
+
+
+def _shell_richardson_calls(monkeypatch):
+    # the Richardson orbits the shell computes through SHELL_CROSS_CHECK_RANK
+    # with one memo for the run, and the certificates it gives
+    real, calls = oracle.richardson_zero, []
+
+    def counted(kind, halves):
+        calls.append((kind, halves))
+        return real(kind, halves)
+
+    memo = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "richardson_zero", counted)
+        certs = [verify_min(m, memo) for m in
+                 verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK)]
+    return len(calls), [(c.shell_size, c.shell_minimum, c.passed) for c in certs]
+
+
+def test_the_column_count_spares_the_shell_all_but_a_few_orbits(monkeypatch):
+    # a loosened filter changes no certificate, so only the number of
+    # orbits the shell computes can see it; here it also admits a column
+    # count one below each allowed one (one above admits no vector within
+    # the bound that was not admitted already)
+    calls, certs = _shell_richardson_calls(monkeypatch)
+    assert calls == 92
+    real = oracle._first_rows
+    monkeypatch.setattr(oracle, "_first_rows",
+                        lambda targets: {r + d for r in real(targets) for d in (-1, 0)})
+    assert _shell_richardson_calls(monkeypatch) == (250, certs)
 
 
 def test_membership_examples():
