@@ -10,6 +10,14 @@ signature, and each signature has one dominant vector of least norm.
 Before the shell computes a side vector's Richardson orbit, it reads the
 orbit's first row off the vector's column count in integers, and drops the
 vector when no lift of its size has that first row.
+
+A run of the shell keeps two memos, one entry per key: the Richardson orbit
+of each side vector, keyed by factor kind and the whole vector, and the
+class shell of each (number of coordinates, congruence class), held at the
+largest norm bound asked so far and sorted by norm.  A datum reads the
+prefix of a class shell within its own bound (`bisect_right`), and a datum
+with a larger bound rebuilds the entry at that bound; `class_shell` is the
+one enumerator.
 """
 
 import itertools
@@ -211,12 +219,33 @@ def class_shell(n, bound4, parity):
     return out
 
 
+def _shell_prefix(shells, n, bound4, parity):
+    """`class_shell(n, bound4, parity)` sorted by norm (a stable sort), as
+    (vectors with their norms, norms), read from the class-shell memo
+    `shells`.
+
+    The memo holds one entry per (n, parity): (bound, the shell at that
+    bound sorted by norm, its norms).  A request within the entry's bound
+    is its prefix of norm at most bound4 (`bisect_right`), since the shell
+    at a bound b <= B is the part of the shell at B of norm at most b, in
+    the same order.  A request past it rebuilds the entry at bound4 with
+    `class_shell`, the one enumerator."""
+    key = (n, parity)
+    entry = shells.get(key)
+    if entry is None or entry[0] < bound4:
+        pairs = sorted(class_shell(n, bound4, parity), key=lambda pair: pair[1])
+        entry = shells[key] = (bound4, pairs, [norm4 for _, norm4 in pairs])
+    _, pairs, norms = entry
+    within = bisect_right(norms, bound4)
+    return pairs[:within], norms[:within]
+
+
 class Certificate(namedtuple("Certificate", "datum candidate shell_size shell_minimum")):
     """`shell_size` counts the shell points within the candidate's norm, at
     the class sizes some lift accepts, whether the side check dropped them
-    or the membership test confirmed them.  `shell_minimum` is (least norm times 4, dominant minimisers) of
-    the admissible points in the candidate's shell; (None, ()) when it holds
-    none."""
+    or the membership test confirmed them.  `shell_minimum` is (least norm
+    times 4, dominant minimisers) of the admissible points in the
+    candidate's shell; (None, ()) when it holds none."""
     __slots__ = ()
 
     @property
@@ -228,7 +257,7 @@ class Certificate(namedtuple("Certificate", "datum candidate shell_size shell_mi
         return self.shell_minimum == (sum(h * h for h in halves), (halves,))
 
 
-def verify_min(m, orbits=None):
+def verify_min(m, orbits=None, shells=None):
     """Certify that the weight of a distinguished datum (its staggered
     canonical split) is the unique minimal member of its admissible set, by
     exhaustive enumeration of the dominant shell it cuts out.
@@ -251,9 +280,21 @@ def verify_min(m, orbits=None):
     vector whose column count is none of `_first_rows` of those etas is
     dropped before `other_orbit`.  This is exact, as the orbit it skips is
     none of the orbits the point is compared with.  The memo still holds
-    only what `richardson_zero` computed, keyed by the whole side vector."""
+    only what `richardson_zero` computed, keyed by the whole side vector.
+
+    `shells` is the class-shell memo of `_shell_prefix`, keyed by (n,
+    parity): None for a fresh one, or one memo shared by the data of a
+    run.  The prefix of an entry within bound4 is the class shell at
+    bound4 itself, so a shared memo changes no certificate, and an entry
+    is enumerated again only when a datum asks for a larger bound.  Each
+    class shell is read sorted by norm.  The result does not depend on
+    that order (`shell_size` is a sum, the least norm a minimum, the
+    minimisers sorted), and it lets the walk stop at the first marked
+    vector with no other vector within the bound."""
     if not is_distinguished_marked(m):
         raise ValueError("certification applies to distinguished data")
+    if shells is None:
+        shells = {}
     parity = MARK_PARITY[m.kind]
     k2 = PSEUDO_LEVI[m.kind][1]
     cand = gamma_la(m)
@@ -263,14 +304,13 @@ def verify_min(m, orbits=None):
     counts = {(n1 // 2, n2 // 2) for _, n1, _, n2 in lifts}
     tested, best, found = 0, None, []
     for a, b in sorted(counts):
-        others = sorted(class_shell(b, bound4, 1 - parity), key=lambda pair: pair[1])
-        norms = [norm2 for _, norm2 in others]
+        others, norms = _shell_prefix(shells, b, bound4, 1 - parity)
         columns = [_column_count(k2, other) for other, _ in others]
-        for marked, norm1 in class_shell(a, bound4, parity):
+        for marked, norm1 in _shell_prefix(shells, a, bound4, parity)[0]:
             within = bisect_right(norms, bound4 - norm1)
-            tested += within
             if not within:
-                continue
+                break
+            tested += within
             accepted = accepting(marked)
             if not accepted:
                 continue

@@ -160,22 +160,26 @@ def _norm_text(norm4):
     return None if norm4 is None else str(Fraction(norm4, 4))
 
 
-def _certify(m, orbits):
+def _certify(m, orbits, shells):
     """The failure records of one special distinguished datum: `signature`
     when its weight is not the one minimiser the signature route finds,
     `shell` when the exhaustive shell does not certify it, `routes disagree`
     when the two routes differ in least norm or minimisers.  The shell runs
     through SHELL_CROSS_CHECK_RANK only, with `orbits` as its Richardson-orbit
-    memo; `shell_norm` is None when it did not run or held no admissible
-    point."""
-    cand = gamma_la(m)
+    memo and `shells` as its class-shell memo; `shell_norm` is None when it
+    did not run or held no admissible point.  When the shell runs, the
+    candidate weight is the one its certificate holds, so it is computed
+    once."""
+    cert = None
+    if size(m.lam) // 2 <= SHELL_CROSS_CHECK_RANK:
+        cert = verify_min(m, orbits, shells)
+    cand = gamma_la(m) if cert is None else cert.candidate
     sig = signature_minimum(m)
     checks = []
     if sig[1] != (cand.halves,):
         checks.append("signature")
     shell = (None, ())
-    if size(m.lam) // 2 <= SHELL_CROSS_CHECK_RANK:
-        cert = verify_min(m, orbits)
+    if cert is not None:
         shell = cert.shell_minimum
         if not cert.passed:
             checks.append("shell")
@@ -190,15 +194,19 @@ def verify_minimality(max_rank, jobs=1):
     """The candidate weight of every special distinguished marked datum is
     the unique minimal member of its admissible set: certified by the
     signature route, and cross-checked by the exhaustive shell through
-    SHELL_CROSS_CHECK_RANK, with one Richardson-orbit memo for the call.
+    SHELL_CROSS_CHECK_RANK, with one Richardson-orbit memo and one
+    class-shell memo for the call.  The class-shell memo holds each (size,
+    class) shell at the largest bound asked so far, and every datum reads
+    the part of it within its own bound.
 
     The suite runs in one process; `jobs` exists only for callers that
     pass `jobs=1`, and any other value is a ValueError."""
     if jobs != 1:
         raise ValueError("jobs must be 1")
     data = _data(iter_special_distinguished, max_rank)
-    orbits = {}
-    return _report("minimality", len(data), [f for m in data for f in _certify(m, orbits)])
+    orbits, shells = {}, {}
+    return _report("minimality", len(data),
+                   [f for m in data for f in _certify(m, orbits, shells)])
 
 
 @checks_each_orbit_once

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_left
 
 import pytest
 
@@ -149,13 +150,16 @@ def test_the_column_count_rules_out_only_orbits_outside_the_targets():
 
 
 def test_the_filtered_shell_certifies_like_the_unfiltered_walk():
+    # one orbit memo and one class-shell memo for the run, against fresh
+    # memos for each datum and against the unfiltered walk, which calls
+    # `class_shell` itself
     data = verify._data(verify.iter_special_distinguished, 7)
     assert len(data) == 88
-    memo, reference = {}, {}
+    memo, shells, reference = {}, {}, {}
     for m in data:
-        cert, ref = verify_min(m, memo), unfiltered_verify_min(m, reference)
-        assert (cert.shell_size, cert.shell_minimum, cert.passed) == (
-            ref.shell_size, ref.shell_minimum, ref.passed), str(m)
+        certs = [verify_min(m, memo, shells), verify_min(m), unfiltered_verify_min(m, reference)]
+        assert len({(c.candidate, c.shell_size, c.shell_minimum, c.passed)
+                    for c in certs}) == 1, str(m)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -394,14 +398,15 @@ class _KindBlindMemo(dict):
         return super().setdefault("any", {})
 
 
-def _memo_mismatches(memo):
+def _memo_mismatches(memo, shells=None):
     # the data verify_minimality shells, in its order, certified with one
-    # memo for all of them, against a fresh memo for each datum
+    # orbit memo (and one class-shell memo, when given) for all of them,
+    # against fresh memos for each datum
     data = verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK)
     assert len(data) == 60
     out = []
     for m in data:
-        shared, fresh = verify_min(m, memo), verify_min(m)
+        shared, fresh = verify_min(m, memo, shells), verify_min(m)
         if (shared.shell_minimum, shared.shell_size, shared.passed) != (
                 fresh.shell_minimum, fresh.shell_size, fresh.passed):
             out.append(str(m))
@@ -409,16 +414,131 @@ def _memo_mismatches(memo):
 
 
 def test_one_memo_per_run_certifies_like_a_fresh_memo_per_datum():
-    memo = {}
-    assert _memo_mismatches(memo) == []
+    memo, shells = {}, {}
+    assert _memo_mismatches(memo, shells) == []
     assert set(memo) == {"B", "C", "D"}
+    # one class shell per (size, class), at the largest bound asked
+    assert len(shells) == 14
+    assert all(len(key) == 2 and key[1] in (0, 1) for key in shells)
+
+
+def _served_prefixes(monkeypatch, max_rank):
+    """Every (n, bound4, parity, served prefix) the class-shell memo gives
+    `verify_min` over the data of rank at most max_rank, with one memo of
+    each kind for the run, and the number of class shells enumerated."""
+    real_prefix, real_shell, served, built = oracle._shell_prefix, oracle.class_shell, [], []
+
+    def spy(shells, n, bound4, parity):
+        prefix = real_prefix(shells, n, bound4, parity)
+        served.append((n, bound4, parity, prefix))
+        return prefix
+
+    def counted(n, bound4, parity):
+        built.append(n)
+        return real_shell(n, bound4, parity)
+
+    memo, shells = {}, {}
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_shell_prefix", spy)
+        patch.setattr(oracle, "class_shell", counted)
+        for m in verify._data(verify.iter_special_distinguished, max_rank):
+            verify_min(m, memo, shells)
+    return served, len(built)
+
+
+def test_the_shell_memo_serves_the_class_shell_sorted_by_norm(monkeypatch):
+    # every prefix the memo serves through rank 8 is the class shell at the
+    # datum's own bound, in `class_shell`'s order within one norm
+    served, built = _served_prefixes(monkeypatch, 8)
+    assert (len(served), built) == (484, 83)
+    for n, bound4, parity, (pairs, norms) in served:
+        ref = sorted(class_shell(n, bound4, parity), key=lambda pair: pair[1])
+        assert pairs == ref and norms == [norm4 for _, norm4 in ref], (n, bound4, parity)
+
+
+def test_a_run_enumerates_each_class_shell_and_weight_once(monkeypatch):
+    # a memo that never hits changes no certificate, so only these counts
+    # can see it: the class shells `verify_minimality` enumerates through
+    # SHELL_CROSS_CHECK_RANK and the vectors they hold, and one candidate
+    # weight per datum
+    shells, weights = [], []
+    real_shell, real_weight = oracle.class_shell, oracle.gamma_la
+
+    def counted_shell(n, bound4, parity):
+        out = real_shell(n, bound4, parity)
+        shells.append(len(out))
+        return out
+
+    def counted_weight(m, *rest):
+        weights.append(m)
+        return real_weight(m, *rest)
+
+    monkeypatch.setattr(oracle, "class_shell", counted_shell)
+    monkeypatch.setattr(oracle, "gamma_la", counted_weight)
+    monkeypatch.setattr(verify, "gamma_la", counted_weight)
+    rep = verify.verify_minimality(max_rank=verify.SHELL_CROSS_CHECK_RANK + 1)
+    assert rep["passed"] and rep["checked"] == 88
+    assert (len(shells), sum(shells)) == (50, 2004)
+    assert len(weights) == len(set(weights)) == 88
+
+
+class _ParityBlindShells(dict):
+    """A broken class-shell memo: one entry per size for both classes."""
+
+    def get(self, key, default=None):
+        return super().get(key[0], default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
+
+
+class _NeverRegrownShells(dict):
+    """A broken class-shell memo: an entry, once made, is read as if its
+    bound were past every datum's, so it is never rebuilt."""
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        return entry if entry is None else (float("inf"),) + entry[1:]
+
+
+def _bisect_left_prefix(monkeypatch):
+    # the memo's prefix cut with `bisect_left`: it leaves out the vectors
+    # of norm exactly bound4
+    real = oracle._shell_prefix
+
+    def left(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "bisect_right", bisect_left)
+            return real(*args)
+
+    monkeypatch.setattr(oracle, "_shell_prefix", left)
+
+
+@pytest.mark.parametrize("broken, count", [("parity-blind key", 102),
+                                           ("bisect_left prefix", 82)])
+def test_cross_checks_catch_a_broken_shell_memo(monkeypatch, broken, count):
+    if broken == "parity-blind key":
+        real, blind = verify._certify, _ParityBlindShells()
+        monkeypatch.setattr(verify, "_certify", lambda m, orbits, shells: real(m, orbits, blind))
+    else:
+        _bisect_left_prefix(monkeypatch)
+    rep = verify.verify_minimality(max_rank=verify.SHELL_CROSS_CHECK_RANK)
+    checks = {f["check"] for f in rep["failures"]}
+    assert not rep["passed"] and {"shell", "routes disagree"} <= checks
+    assert len(rep["failures"]) == count
+
+
+def test_a_shell_memo_that_is_never_regrown_shrinks_the_shell():
+    # the suite passes with it, as the shell still holds each minimum, so
+    # only the shell sizes against a fresh memo per datum can see it
+    assert len(_memo_mismatches({}, _NeverRegrownShells())) == 25
 
 
 def test_cross_checks_catch_a_memo_without_the_factor_kind(monkeypatch):
     assert _memo_mismatches(_KindBlindMemo())
     real = verify._certify
     blind = _KindBlindMemo()
-    monkeypatch.setattr(verify, "_certify", lambda m, orbits: real(m, blind))
+    monkeypatch.setattr(verify, "_certify", lambda m, orbits, shells: real(m, blind, shells))
     rep = verify.verify_minimality(max_rank=4)
     checks = {f["check"] for f in rep["failures"]}
     assert not rep["passed"] and {"shell", "routes disagree"} <= checks

@@ -363,7 +363,7 @@ def _spy(monkeypatch, name, measure):
 
 
 def test_shell_cross_check_runs_through_its_rank(monkeypatch):
-    ranks = _spy(monkeypatch, "verify_min", lambda m, orbits: sum(m.lam) // 2)
+    ranks = _spy(monkeypatch, "verify_min", lambda m, *memos: sum(m.lam) // 2)
     report = verify.verify_minimality(max_rank=verify.SHELL_CROSS_CHECK_RANK + 1)
     assert report["passed"] and max(ranks) == verify.SHELL_CROSS_CHECK_RANK
 
