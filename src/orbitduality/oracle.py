@@ -3,13 +3,14 @@
 For a distinguished marked datum the admissible weights form a union, over
 the markings in its class, of sets cut out by congruence and Richardson
 conditions.  The exhaustive route enumerates every dominant half-integer
-vector inside the candidate's norm shell and tests membership exactly.  The
-signature route computes the least norm and every minimiser without a shell:
-membership reads each congruence class only through its multiplicity
-signature, and each signature has one dominant vector of least norm.
-Before the shell computes a side vector's Richardson orbit, it reads the
-orbit's first row off the vector's column count in integers, and drops the
-vector when no lift of its size has that first row.
+vector inside the candidate's norm shell, and `membership_tester` alone
+decides which of them are members.  Before a point reaches it, the shell
+drops it when one of its sides has a column count, read in integers, that
+rules out every orbit the side is compared with; such a point is one the
+test would reject.  The signature route computes the least norm and every
+minimiser without a shell: membership reads each congruence class only
+through its multiplicity signature, and each signature has one dominant
+vector of least norm.
 
 A run of the shell keeps two memos, one entry per key: the Richardson orbit
 of each side vector, keyed by factor kind and the whole vector, and the
@@ -78,7 +79,9 @@ def _column_count(kind, halves):
 def _first_rows(targets):
     """The column counts a side vector may have when its Richardson orbit is
     one of `targets`, partitions of one size: t[0] and t[0] + 1, with
-    t[0] = 0 for the empty partition.
+    t[0] = 0 for the empty partition.  `verify_min` drops a side vector
+    whose column count is outside this set before the membership test
+    sees its point, and computes no orbit for it.
 
     The orbit of a vector with column count c has first row c or c - 1:
     `richardson_zero` builds a pair of columns (q, q) per distinct nonzero
@@ -88,7 +91,7 @@ def _first_rows(targets):
     by one box, to a value of the free parity, and moves that box to a
     later row, so it lowers the first row at most once, by one.  A vector
     whose column count is not in this set has an orbit outside `targets`,
-    and is dropped without computing it."""
+    so dropping it is exact."""
     rows = set()
     for t in targets:
         first = t[0] if t else 0
@@ -104,78 +107,49 @@ def split_classes(kind, halves):
             tuple(h for h in halves if h % 2 != parity))
 
 
-def _lift_sides(m, orbits):
-    """The lift markings of a distinguished marked datum and the two side
-    questions membership asks of a point, as (lifts, accepting, other_orbit).
-
-    `lifts` lists (nu, |nu|, eta, |eta|) for every marking nu in the datum's
-    class, with eta the rest of its partition.  `accepting(side1)` lists the
-    lifts that a marked side (the coordinates of the mark parity) satisfies:
-    its size is |nu| and its Richardson orbit is nu.  A marked side whose
-    column count is none of `_first_rows` of the nu of its size is
-    answered without its orbit.  `other_orbit(side2)` is the Richardson
-    orbit of the other side.
-
-    `orbits` memoizes the Richardson orbit of each side vector as
-    {factor kind: {side vector: parts}}.  Each orbit is computed once per
-    memo: pass one memo to every datum of a run, since many points and many
-    data share a side.  None means a fresh memo.  The memo is keyed by the
-    whole side vector, never by its multiplicity signature, and filled by
-    `richardson_zero` alone, never from `_side_table`, so the shell stays
-    independent of the signature route."""
-    if not is_distinguished_marked(m):
-        raise ValueError("membership is tested on distinguished data")
-    lam = m.lam
-    k1, k2 = PSEUDO_LEVI[m.kind]
-    if orbits is None:
-        orbits = {}
-    memo1 = orbits.setdefault(k1, {})
-    memo2 = orbits.setdefault(k2, {})
-    lifts, by_size = [], {}
-    for nu in equivalent_markings(m):
-        eta = multiset_difference(lam, nu)
-        lift = (nu, size(nu), eta, size(eta))
-        lifts.append(lift)
-        by_size.setdefault(lift[1], []).append(lift)
-    rows_by_size = {n1: _first_rows(nu for nu, _, _, _ in sized)
-                    for n1, sized in by_size.items()}
-
-    def orbit(memo, k, side):
-        parts = memo.get(side)
-        if parts is None:
-            parts = memo[side] = richardson_zero(k, side).parts
-        return parts
-
-    def accepting(side1):
-        n1 = 2 * len(side1)
-        sized = by_size.get(n1, [])
-        if not (sized and n1):
-            return sized
-        if _column_count(k1, side1) not in rows_by_size[n1]:
-            return []
-        parts = orbit(memo1, k1, side1)
-        return [lift for lift in sized if lift[0] == parts]
-
-    def other_orbit(side2):
-        return orbit(memo2, k2, side2)
-
-    return lifts, accepting, other_orbit
+def _side_orbit(orbits, kind, side):
+    """The Richardson orbit of a side vector, read from the memo `orbits` or
+    computed by `richardson_zero` and stored there.  The memo maps (factor
+    kind, whole side vector) to the orbit, never the side's multiplicity
+    signature, so a route that reads it stays independent of the signature
+    route."""
+    key = (kind, side)
+    orbit = orbits.get(key)
+    if orbit is None:
+        orbit = orbits[key] = richardson_zero(kind, side)
+    return orbit
 
 
 def membership_tester(m, orbits=None):
-    """A fast membership test for the admissible-weight set of a distinguished
-    marked datum: a point is a member when its marked side is accepted by
-    some lift (nu, eta) whose eta is the Richardson orbit of its other side.
+    """The membership test for the admissible-weight set of a distinguished
+    marked datum, the one place that decides it.  A point is a member when
+    some lift marking nu of the datum's class, with eta the rest of its
+    partition, accepts both of its sides: the marked side (the coordinates
+    of the mark parity) has |nu| doubled coordinates and, unless empty, the
+    Richardson orbit nu, and the other side has the Richardson orbit eta.
     On a point of another length the other side's orbit has another size
-    than every such eta, so the point is rejected.  `orbits` is the
-    Richardson-orbit memo of `_lift_sides`: None for a fresh one, or one memo
-    shared by every tester of a run."""
-    _, accepting, other_orbit = _lift_sides(m, orbits)
+    than every such eta, so the point is rejected.
+
+    `orbits` is the Richardson-orbit memo of `_side_orbit`: None for a fresh
+    one, or one memo shared by every tester of a run, since many points and
+    many data share a side."""
+    if not is_distinguished_marked(m):
+        raise ValueError("membership is tested on distinguished data")
+    if orbits is None:
+        orbits = {}
     kind = m.kind
+    k1, k2 = PSEUDO_LEVI[kind]
+    by_size = {}
+    for nu in equivalent_markings(m):
+        by_size.setdefault(size(nu), []).append((nu, multiset_difference(m.lam, nu)))
 
     def test(halves):
         side1, side2 = split_classes(kind, halves)
-        return any(other_orbit(side2) == eta for _, _, eta, _ in accepting(side1))
+        lifts = by_size.get(2 * len(side1), [])
+        if side1 and lifts:
+            parts = _side_orbit(orbits, k1, side1).parts
+            lifts = [lift for lift in lifts if lift[0] == parts]
+        return any(_side_orbit(orbits, k2, side2).parts == eta for _, eta in lifts)
 
     return test
 
@@ -242,10 +216,10 @@ def _shell_prefix(shells, n, bound4, parity):
 
 class Certificate(namedtuple("Certificate", "datum candidate shell_size shell_minimum")):
     """`shell_size` counts the shell points within the candidate's norm, at
-    the class sizes some lift accepts, whether the side check dropped them
-    or the membership test confirmed them.  `shell_minimum` is (least norm
-    times 4, dominant minimisers) of the admissible points in the
-    candidate's shell; (None, ()) when it holds none."""
+    the class sizes some lift accepts, whether a prefilter dropped them or
+    the membership test decided them.  `shell_minimum` is (least norm times
+    4, dominant minimisers) of the admissible points in the candidate's
+    shell; (None, ()) when it holds none."""
     __slots__ = ()
 
     @property
@@ -263,24 +237,20 @@ def verify_min(m, orbits=None, shells=None):
     exhaustive enumeration of the dominant shell it cuts out.
 
     The shell is walked one congruence class at a time, and only at the
-    class sizes some lift marking (nu, eta) accepts: |nu|/2 coordinates of
-    the mark parity and floor(|eta|/2) of the other.  This is exact: the
-    membership test rejects, for every lift, a point whose class sizes are
-    not that lift's, so the points left out are points it would reject.
-    The lifts a marked vector satisfies are asked once per marked vector,
-    and a point is dropped unless its other vector's orbit is the eta of
-    one of them; a point that survives is confirmed by `membership_tester`
-    before it is recorded.  Every point within the norm bound counts in
-    `shell_size`, dropped or not.  `orbits` is the Richardson-orbit memo of
-    `_lift_sides`: None for a fresh one, or one memo shared by the data of
-    a run.
-
-    Neither side's orbit is computed when its column count rules it out
-    (`_first_rows`): `accepting` drops such a marked vector, and an other
-    vector whose column count is none of `_first_rows` of those etas is
-    dropped before `other_orbit`.  This is exact, as the orbit it skips is
-    none of the orbits the point is compared with.  The memo still holds
-    only what `richardson_zero` computed, keyed by the whole side vector.
+    class sizes (a, b) of the lift markings (nu, eta): a = |nu|/2
+    coordinates of the mark parity and b = floor(|eta|/2) of the other.
+    Every point within the norm bound counts in `shell_size`.  The points
+    left out have class sizes no lift has, so `membership_tester` would
+    reject them.  `membership_tester` decides every other point, except
+    that two prefilters drop points it would reject, without computing an
+    orbit: a marked vector whose column count (`_column_count`) is none of
+    `_first_rows` of the nu of its class, and an other vector whose column
+    count is none of `_first_rows` of the eta of its class.  This is exact:
+    only a lift of the class (a, b) can accept a point with a marked side
+    of size 2a, and a vector whose column count is ruled out has an orbit
+    outside the targets.  `orbits` is the Richardson-orbit memo of
+    `membership_tester`: None for a fresh one, or one memo shared by the
+    data of a run.
 
     `shells` is the class-shell memo of `_shell_prefix`, keyed by (n,
     parity): None for a fresh one, or one memo shared by the data of a
@@ -296,33 +266,34 @@ def verify_min(m, orbits=None, shells=None):
     if shells is None:
         shells = {}
     parity = MARK_PARITY[m.kind]
-    k2 = PSEUDO_LEVI[m.kind][1]
+    k1, k2 = PSEUDO_LEVI[m.kind]
     cand = gamma_la(m)
-    lifts, accepting, other_orbit = _lift_sides(m, orbits)
     test = membership_tester(m, orbits)
     bound4 = sum(h * h for h in cand.halves)
-    counts = {(n1 // 2, n2 // 2) for _, n1, _, n2 in lifts}
+    classes = {}
+    for nu in equivalent_markings(m):
+        eta = multiset_difference(m.lam, nu)
+        classes.setdefault((size(nu) // 2, size(eta) // 2), []).append((nu, eta))
     tested, best, found = 0, None, []
-    for a, b in sorted(counts):
+    for (a, b), lifts in sorted(classes.items()):
+        rows1 = _first_rows(nu for nu, _ in lifts)
+        rows2 = _first_rows(eta for _, eta in lifts)
         others, norms = _shell_prefix(shells, b, bound4, 1 - parity)
-        columns = [_column_count(k2, other) for other, _ in others]
+        kept = [(other, norm2) for other, norm2 in others if _column_count(k2, other) in rows2]
         for marked, norm1 in _shell_prefix(shells, a, bound4, parity)[0]:
             within = bisect_right(norms, bound4 - norm1)
             if not within:
                 break
             tested += within
-            accepted = accepting(marked)
-            if not accepted:
+            if _column_count(k1, marked) not in rows1:
                 continue
-            etas = {eta for _, _, eta, _ in accepted}
-            rows = _first_rows(etas)
-            for (other, norm2), c in zip(others[:within], columns):
-                if c not in rows or other_orbit(other) not in etas:
-                    continue
+            for other, norm2 in kept:
+                norm4 = norm1 + norm2
+                if norm4 > bound4:
+                    break
                 pt = tuple(sorted(marked + other, reverse=True))
                 if not test(pt):
                     continue
-                norm4 = norm1 + norm2
                 if best is None or norm4 < best:
                     best, found = norm4, []
                 if norm4 == best:
@@ -419,18 +390,9 @@ def richardson_pair(m, splits=None, orbits=None):
 
     Two memos serve one run of this route, and neither may feed the route
     it is compared with: `splits`, the core-split memo of the weight
-    (`infchar._core_split`), and `orbits`, which maps (factor kind, whole
-    side vector) to the side's Richardson orbit.  None means a fresh memo.
-    The key is never the side's multiplicity signature."""
+    (`infchar._core_split`), and `orbits`, the Richardson-orbit memo of
+    `_side_orbit`.  None means a fresh memo."""
     if orbits is None:
         orbits = {}
-    side1, side2 = split_classes(m.kind, gamma_la(m, splits).halves)
-    pair = []
-    for k, side in zip(PSEUDO_LEVI[m.kind], (side1, side2)):
-        key = (k, side)
-        orbit = orbits.get(key)
-        if orbit is None:
-            orbit = richardson_zero(k, side)
-            orbits[key] = orbit
-        pair.append(orbit)
-    return tuple(pair)
+    sides = split_classes(m.kind, gamma_la(m, splits).halves)
+    return tuple(_side_orbit(orbits, k, side) for k, side in zip(PSEUDO_LEVI[m.kind], sides))

@@ -19,6 +19,7 @@ from orbitduality.orbits import Orbit
 from orbitduality.partitions import (
     collapse, enumerate_partitions, enumerate_type, size, transpose, union, uparrow,
 )
+from test_verify import ForgetfulMemo
 
 
 def test_richardson_zero_examples():
@@ -55,16 +56,16 @@ def unfiltered_verify_min(m, orbits):
     class sizes, with no column-count filter.  Every marked vector within
     the bound gets its Richardson orbit, and so does every other vector
     within the bound beside a marked vector that some lift accepts; a point
-    is a member when one lift accepts both sides.  `orbits` is filled like
-    `_lift_sides`' memo, {factor kind: {side vector: parts}}."""
+    is a member when one lift accepts both sides.  `orbits` is filled with
+    the parts of each orbit, keyed by (factor kind, side vector)."""
     parity = MARK_PARITY[m.kind]
     kinds = PSEUDO_LEVI[m.kind]
-    memos = [orbits.setdefault(k, {}) for k in kinds]
 
     def orbit(i, side):
-        if side not in memos[i]:
-            memos[i][side] = richardson_zero(kinds[i], side).parts
-        return memos[i][side]
+        key = (kinds[i], side)
+        if key not in orbits:
+            orbits[key] = richardson_zero(*key).parts
+        return orbits[key]
 
     cand = oracle.gamma_la(m)
     bound4 = sum(h * h for h in cand.halves)
@@ -96,12 +97,11 @@ def test_richardson_zero_by_runs_is_the_definition():
     memo = {}
     for m in verify._data(verify.iter_special_distinguished, verify.SHELL_CROSS_CHECK_RANK):
         unfiltered_verify_min(m, memo)
-    sides = [(k, side) for k, table in memo.items() for side in table]
-    assert len(sides) == 3061
-    for k, side in sides:
+    assert len(memo) == 3061
+    for (k, side), parts in memo.items():
         orbit = richardson_zero(k, side)
         assert orbit == reference_richardson_zero(k, side), (k, side)
-        assert orbit.parts == memo[k][side]
+        assert orbit.parts == parts
     # the same error on coordinates of two classes
     for bad in [("C", (2, 1)), ("B", (3, 2))]:
         messages = []
@@ -194,11 +194,47 @@ def test_the_column_count_spares_the_shell_all_but_a_few_orbits(monkeypatch):
     # count one below each allowed one (one above admits no vector within
     # the bound that was not admitted already)
     calls, certs = _shell_richardson_calls(monkeypatch)
-    assert calls == 92
+    assert calls == 71
     real = oracle._first_rows
     monkeypatch.setattr(oracle, "_first_rows",
                         lambda targets: {r + d for r in real(targets) for d in (-1, 0)})
-    assert _shell_richardson_calls(monkeypatch) == (250, certs)
+    assert _shell_richardson_calls(monkeypatch) == (214, certs)
+
+
+def test_the_prefilters_drop_only_points_the_tester_rejects(monkeypatch):
+    # every special distinguished datum through rank 7: each point of the
+    # walked shell (the lift class sizes, within the candidate's norm) that
+    # verify_min does not hand to its tester, so a column prefilter dropped
+    # it, is rejected by a fresh tester, and each point the certificate
+    # records is accepted by it
+    real, asked = oracle.membership_tester, set()
+
+    def recording(m, orbits=None):
+        test = real(m, orbits)
+
+        def recorded(pt):
+            asked.add(pt)
+            return test(pt)
+        return recorded
+
+    monkeypatch.setattr(oracle, "membership_tester", recording)
+    data = verify._data(verify.iter_special_distinguished, 7)
+    dropped = 0
+    for m in data:
+        asked.clear()
+        cert = verify_min(m)
+        test, parity = real(m), MARK_PARITY[m.kind]
+        bound4 = sum(h * h for h in cert.candidate.halves)
+        classes = {(size(nu) // 2, size(multiset_difference(m.lam, nu)) // 2)
+                   for nu in equivalent_markings(m)}
+        walked = {tuple(sorted(v + w, reverse=True))
+                  for a, b in classes for v, norm1 in class_shell(a, bound4, parity)
+                  for w, _ in class_shell(b, bound4 - norm1, 1 - parity)}
+        assert len(walked) == cert.shell_size and asked <= walked, str(m)
+        assert not any(test(pt) for pt in walked - asked), str(m)
+        assert all(test(pt) for pt in cert.shell_minimum[1]), str(m)
+        dropped += len(walked - asked)
+    assert (len(data), dropped) == (88, 38343)
 
 
 def test_membership_examples():
@@ -217,7 +253,8 @@ def test_a_point_of_another_length_leaves_the_memo_as_it_was():
     test = membership_tester(parse_marked("B:<[5,1]>[5,3,1]"), memo)
     assert not test((5, 3, 1))
     assert test((5, 3, 1, 1))
-    assert None not in [parts for sides in memo.values() for parts in sides.values()]
+    assert None not in memo.values()
+    assert memo["B", ()] == Orbit("B", 1, (1,))
 
 
 def test_membership_canonical_invariance():
@@ -251,20 +288,13 @@ def test_verify_min_needs_the_candidate_alone_at_the_least_norm(monkeypatch):
     cert = verify_min(m)
     assert cert.candidate.halves == cand and not cert.passed
     assert cand not in cert.shell_minimum[1]
-    # the rival half also patches the side check, which would drop the
-    # rival before the tester sees it
-    real_sides, rival_marked = oracle._lift_sides, split_classes(m.kind, rival)[0]
-
-    def admitting_the_rival(datum, orbits):
-        lifts, accepting, other_orbit = real_sides(datum, orbits)
-
-        def accepting_the_rival(side1):
-            if side1 == rival_marked:
-                return [lift for lift in lifts if lift[1] == 2 * len(side1)]
-            return accepting(side1)
-        return lifts, accepting_the_rival, other_orbit
-
-    monkeypatch.setattr(oracle, "_lift_sides", admitting_the_rival)
+    # the rival half also gives the rival's marked side the candidate's
+    # column count, as the prefilter would drop it before the tester sees it
+    real_count = oracle._column_count
+    cand_marked, rival_marked = (split_classes(m.kind, pt)[0] for pt in (cand, rival))
+    assert real_count("D", rival_marked) not in oracle._first_rows([(5, 3)])
+    monkeypatch.setattr(oracle, "_column_count", lambda kind, halves: real_count(
+        kind, cand_marked if halves == rival_marked else halves))
     monkeypatch.setattr(oracle, "membership_tester",
                         lambda datum, *rest: lambda pt: pt == rival or real(pt))
     cert = verify_min(m)
@@ -353,26 +383,14 @@ def test_class_pruned_shell_against_the_whole_shell():
 
 
 def test_cross_checks_catch_a_side_check_that_drops_the_candidate_lift(monkeypatch):
-    # verify_min's side check drops the lift of the candidate's canonical
-    # split, while the tester that confirms its survivors stays true: the
-    # signature route and the whole shell both see the candidate go missing
-    real_sides, real_tester = oracle._lift_sides, oracle.membership_tester
-
-    def dropping(m, orbits):
-        lifts, accepting, other_orbit = real_sides(m, orbits)
-        nu = canonical_split(m)[0]
-
-        def dropping_the_candidate(side1):
-            return [lift for lift in accepting(side1) if lift[0] != nu]
-        return lifts, dropping_the_candidate, other_orbit
-
-    def true_tester(m, orbits=None):
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_lift_sides", real_sides)
-            return real_tester(m, orbits)
-
-    monkeypatch.setattr(oracle, "_lift_sides", dropping)
-    monkeypatch.setattr(oracle, "membership_tester", true_tester)
+    # verify_min's marked-side prefilter leaves out the first rows of every
+    # canonical nu, while the tester stays true: the signature route and
+    # the whole shell both see the candidate go missing
+    data = verify._data(verify.iter_special_distinguished, 5)
+    canonical = {canonical_split(m)[0] for m in data}
+    real = oracle._first_rows
+    monkeypatch.setattr(oracle, "_first_rows", lambda targets: real(
+        [t for t in targets if t not in canonical]))
     rep = verify.verify_minimality(max_rank=4)
     checks = {f["check"] for f in rep["failures"]}
     assert not rep["passed"] and {"shell", "routes disagree"} <= checks
@@ -389,13 +407,6 @@ def test_cross_check_catches_a_class_shell_without_zeros(monkeypatch):
     rep = verify.verify_minimality(max_rank=4)
     checks = {f["check"] for f in rep["failures"]}
     assert not rep["passed"] and {"shell", "routes disagree"} <= checks
-
-
-class _KindBlindMemo(dict):
-    """A broken orbit memo: one side-vector table for every factor kind."""
-
-    def setdefault(self, kind, default=None):
-        return super().setdefault("any", {})
 
 
 def _memo_mismatches(memo, shells=None):
@@ -416,7 +427,7 @@ def _memo_mismatches(memo, shells=None):
 def test_one_memo_per_run_certifies_like_a_fresh_memo_per_datum():
     memo, shells = {}, {}
     assert _memo_mismatches(memo, shells) == []
-    assert set(memo) == {"B", "C", "D"}
+    assert {k for k, _ in memo} == {"B", "C", "D"}
     # one class shell per (size, class), at the largest bound asked
     assert len(shells) == 14
     assert all(len(key) == 2 and key[1] in (0, 1) for key in shells)
@@ -535,9 +546,9 @@ def test_a_shell_memo_that_is_never_regrown_shrinks_the_shell():
 
 
 def test_cross_checks_catch_a_memo_without_the_factor_kind(monkeypatch):
-    assert _memo_mismatches(_KindBlindMemo())
+    assert _memo_mismatches(ForgetfulMemo(lambda key: key[1]))
     real = verify._certify
-    blind = _KindBlindMemo()
+    blind = ForgetfulMemo(lambda key: key[1])
     monkeypatch.setattr(verify, "_certify", lambda m, orbits, shells: real(m, blind, shells))
     rep = verify.verify_minimality(max_rank=4)
     checks = {f["check"] for f in rep["failures"]}
